@@ -8,14 +8,17 @@
 //! compares the *observed* completions against the trained model's
 //! expectation at the posted price, maintains a windowed correction ratio
 //! ρ̂, and periodically re-solves the remaining-horizon MDP with the
-//! trained arrival masses scaled by ρ̂. Because completions are a thinned
+//! trained arrival masses scaled by ρ̂. Every solve — the initial one and
+//! each re-solve — runs the paper's fast solver: Algorithm 2
+//! ([`Sweep::MonotoneDivide`]) over Poisson-truncated transitions
+//! (Section 3.2). Because completions are a thinned
 //! view of arrivals, the ratio estimates the arrival-level deviation as
 //! long as `p(c)` itself is trusted (mis-specified `p` is the Fig. 9
 //! axis, handled by the base policy's own feedback).
 
-use crate::dp::{solve_truncated, solve_truncated_with_cache};
 use crate::error::{PricingError, Result};
-use crate::kernel::SharedPmfCache;
+use crate::kernel::deadline::solve_deadline_with_cache;
+use crate::kernel::{KernelConfig, SharedPmfCache, Sweep, TruncationTable};
 use crate::policy::{DeadlinePolicy, PriceController};
 use crate::problem::DeadlineProblem;
 use serde::{Deserialize, Serialize};
@@ -68,7 +71,12 @@ impl AdaptivePricer {
             opts.min_correction > 0.0 && opts.max_correction >= opts.min_correction,
             "invalid correction clamp"
         );
-        let policy = solve_truncated(&problem, opts.truncation_eps)?;
+        let policy = solve_policy(
+            &problem,
+            opts.truncation_eps,
+            &KernelConfig::default(),
+            None,
+        )?;
         Ok(Self {
             problem,
             opts,
@@ -191,7 +199,7 @@ impl AdaptivePricer {
         assert!(t >= self.policy_start, "time went backwards");
         // Re-solve on schedule.
         if t - self.policy_start >= self.opts.resolve_every {
-            self.resolve(t);
+            self.resolve(t, &KernelConfig::default(), None);
         }
         let n = n_remaining.min(self.problem.n_tasks);
         if n == 0 {
@@ -281,35 +289,35 @@ impl AdaptivePricer {
     /// Re-solve on the registry's schedule: if the next interval to price
     /// (`observations()`) is `resolve_every` or more intervals past the
     /// active policy's start, re-solve the remaining horizon with the
-    /// current correction. Returns whether a new policy was installed —
-    /// the caller's cue to bump its policy generation.
-    pub fn maybe_resolve(&mut self) -> bool {
-        self.maybe_resolve_with(None)
-    }
-
-    /// [`AdaptivePricer::maybe_resolve`] resolving pmf rows through an
-    /// optional wave-wide [`SharedPmfCache`] — the scheduler's
-    /// recalibration path, where concurrent campaigns re-derive
-    /// identical Poisson rows. Bitwise identical to the uncached
-    /// re-solve.
-    pub fn maybe_resolve_with(&mut self, cache: Option<&Arc<SharedPmfCache>>) -> bool {
+    /// current correction on the caller's kernel budget, resolving pmf
+    /// rows through an optional wave-wide [`SharedPmfCache`] (concurrent
+    /// campaigns re-derive identical Poisson rows). Neither the thread
+    /// count nor the cache changes a bit of the result. Returns whether
+    /// a new policy was installed — the caller's cue to bump its policy
+    /// generation.
+    pub fn maybe_resolve_with(
+        &mut self,
+        kernel: &KernelConfig,
+        cache: Option<&Arc<SharedPmfCache>>,
+    ) -> bool {
         let t = self.history.len();
         if t >= self.problem.n_intervals() || t < self.policy_start {
             return false;
         }
         if t - self.policy_start >= self.opts.resolve_every {
-            return self.resolve_cached(t, cache);
+            return self.resolve(t, kernel, cache);
         }
         false
     }
 
     /// Re-solve the MDP over intervals `t..` with corrected arrivals.
     /// Returns whether the policy was swapped.
-    fn resolve(&mut self, t: usize) -> bool {
-        self.resolve_cached(t, None)
-    }
-
-    fn resolve_cached(&mut self, t: usize, cache: Option<&Arc<SharedPmfCache>>) -> bool {
+    fn resolve(
+        &mut self,
+        t: usize,
+        kernel: &KernelConfig,
+        cache: Option<&Arc<SharedPmfCache>>,
+    ) -> bool {
         let corrected: Vec<f64> = self.problem.interval_arrivals[t..]
             .iter()
             .map(|l| l * self.correction)
@@ -323,12 +331,7 @@ impl AdaptivePricer {
             self.problem.actions.clone(),
             self.problem.penalty,
         );
-        let solved = match cache {
-            Some(shared) => {
-                solve_truncated_with_cache(&sub, self.opts.truncation_eps, Some(Arc::clone(shared)))
-            }
-            None => solve_truncated(&sub, self.opts.truncation_eps),
-        };
+        let solved = solve_policy(&sub, self.opts.truncation_eps, kernel, cache.cloned());
         if let Ok(policy) = solved {
             self.policy = policy;
             self.policy_start = t;
@@ -338,10 +341,24 @@ impl AdaptivePricer {
     }
 }
 
+/// The pricer's one solve: Algorithm 2 over transitions truncated at
+/// `eps`. Under Conjecture 1 it equals the dense Algorithm 1 sweep bit
+/// for bit (`resolves_match_dense_sweep` in `tests/deadline.rs`).
+fn solve_policy(
+    problem: &DeadlineProblem,
+    eps: f64,
+    kernel: &KernelConfig,
+    cache: Option<Arc<SharedPmfCache>>,
+) -> Result<DeadlinePolicy> {
+    let trunc = TruncationTable::with_eps(problem, eps);
+    solve_deadline_with_cache(problem, &trunc, Sweep::MonotoneDivide, kernel, cache)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actions::ActionSet;
+    use crate::dp::solve_truncated;
     use crate::penalty::PenaltyModel;
     use ft_market::{AcceptanceFn, LogitAcceptance, PriceGrid};
     use ft_stats::{seeded_rng, Poisson};

@@ -20,7 +20,10 @@ use crate::problem::DeadlineProblem;
 ///
 /// Produces exactly the same policy as [`super::solve_truncated`] whenever
 /// Conjecture 1 holds (which we have never observed violated, matching the
-/// paper's experience); the test-suite cross-checks agreement.
+/// paper's experience). `resolves_match_dense_sweep` in `tests/deadline.rs`
+/// holds the two equal bit for bit on the §5.2 drift re-solves the
+/// registry runs; `efficient_matches_truncated_exactly` below covers the
+/// varied test problems.
 pub fn solve_efficient(problem: &DeadlineProblem, eps: f64) -> Result<DeadlinePolicy> {
     let trunc = TruncationTable::with_eps(problem, eps);
     solve_efficient_with(problem, &trunc)

@@ -20,7 +20,7 @@ mod simple;
 
 pub use crate::kernel::{q_value, TruncationTable};
 pub use efficient::{solve_efficient, solve_efficient_with};
-pub use simple::{solve_simple, solve_truncated, solve_truncated_with_cache};
+pub use simple::{solve_simple, solve_truncated};
 
 use crate::error::{PricingError, Result};
 use crate::problem::DeadlineProblem;

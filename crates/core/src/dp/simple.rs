@@ -3,11 +3,10 @@
 
 use super::validate;
 use crate::error::Result;
-use crate::kernel::deadline::{solve_deadline, solve_deadline_with_cache};
-use crate::kernel::{KernelConfig, SharedPmfCache, Sweep, TruncationTable};
+use crate::kernel::deadline::solve_deadline;
+use crate::kernel::{KernelConfig, Sweep, TruncationTable};
 use crate::policy::DeadlinePolicy;
 use crate::problem::DeadlineProblem;
-use std::sync::Arc;
 
 /// Solve by full enumeration (Algorithm 1): exact transition sums, every
 /// action considered at every state. `O(N² · N_T · C)` work, swept in
@@ -23,26 +22,6 @@ pub fn solve_simple(problem: &DeadlineProblem) -> Result<DeadlinePolicy> {
 pub fn solve_truncated(problem: &DeadlineProblem, eps: f64) -> Result<DeadlinePolicy> {
     let trunc = TruncationTable::with_eps(problem, eps);
     solve_with_truncation(problem, &trunc)
-}
-
-/// [`solve_truncated`] resolving pmf rows through an optional
-/// wave-wide [`SharedPmfCache`] — the recalibration path, where
-/// concurrent campaigns re-derive identical Poisson rows. Bitwise
-/// identical to the uncached solve.
-pub fn solve_truncated_with_cache(
-    problem: &DeadlineProblem,
-    eps: f64,
-    shared: Option<Arc<SharedPmfCache>>,
-) -> Result<DeadlinePolicy> {
-    let trunc = TruncationTable::with_eps(problem, eps);
-    validate(problem)?;
-    solve_deadline_with_cache(
-        problem,
-        &trunc,
-        Sweep::Dense,
-        &KernelConfig::default(),
-        shared,
-    )
 }
 
 pub(crate) fn solve_with_truncation(

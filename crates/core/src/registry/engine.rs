@@ -193,10 +193,14 @@ impl CampaignEngine for DeadlineEngine {
 
     fn solve(&mut self, ctx: &SolveContext) -> Result<Option<(CampaignPolicy, usize)>> {
         // The pricer re-solves the remaining horizon with corrected
-        // arrivals; `false` means the inner solve failed (or there was
-        // nothing to do) and the previous policy stays. Pmf rows are
-        // resolved through the admitting wave's shared cache.
-        if self.pricer.maybe_resolve_with(ctx.pmf_cache.as_ref()) {
+        // arrivals on the registry's kernel budget; `false` means the
+        // inner solve failed (or there was nothing to do) and the
+        // previous policy stays. Pmf rows are resolved through the
+        // admitting wave's shared cache.
+        if self
+            .pricer
+            .maybe_resolve_with(&ctx.kernel, ctx.pmf_cache.as_ref())
+        {
             Ok(Some((
                 CampaignPolicy::Deadline(self.pricer.policy().clone()),
                 self.pricer.policy_start(),

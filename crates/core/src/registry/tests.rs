@@ -1377,3 +1377,94 @@ fn sequential_ids_spread_across_shards() {
         per_shard.len()
     );
 }
+
+/// Deadline recalibrations run on the registry's kernel budget. A serial
+/// registry re-solves without forking and a two-thread one forks (the
+/// trace of the recalibrating observe shows it), and both publish the
+/// bits of a direct serial Algorithm 2 solve of the corrected
+/// remaining-horizon problem.
+#[test]
+fn deadline_recalibration_honours_kernel_config() {
+    use crate::kernel::deadline::solve_deadline;
+    for (kernel, forks) in [
+        (KernelConfig::serial(), false),
+        (KernelConfig::with_threads(2), true),
+    ] {
+        let registry = CampaignRegistry::with_registry_config(RegistryConfig {
+            kernel,
+            ..RegistryConfig::default()
+        });
+        let id = registry.register(deadline_spec());
+        registry.solve(id).unwrap();
+        let mut joins = None;
+        for interval in 0..3 {
+            let trace = ft_trace::begin("core.test.observe");
+            let trace_id = ft_trace::current_trace_id();
+            let outcome = registry
+                .observe(
+                    id,
+                    CampaignObservation::Deadline {
+                        interval,
+                        completions: 1,
+                        posted: None,
+                    },
+                )
+                .unwrap();
+            let live = trace.is_live();
+            drop(trace);
+            if outcome.recalibrated && live {
+                let trace = ft_trace::find(trace_id.unwrap()).expect("trace published");
+                let spans = trace.spans.iter();
+                joins = Some(spans.filter(|s| s.name == "exec.pool.join").count());
+            }
+        }
+        let report = registry.report(id).unwrap();
+        assert_eq!(
+            report.generation, 2,
+            "{kernel:?}: expected one recalibration"
+        );
+        if let Some(joins) = joins {
+            assert_eq!(joins > 0, forks, "{kernel:?}: {joins} fork-joins");
+        }
+
+        let start = report.policy_start.unwrap();
+        let correction = report.correction.unwrap();
+        let trained = problem();
+        let corrected = DeadlineProblem::new(
+            trained.n_tasks,
+            trained.interval_arrivals[start..]
+                .iter()
+                .map(|l| l * correction)
+                .collect(),
+            trained.actions.clone(),
+            trained.penalty,
+        );
+        let reference = solve_deadline(
+            &corrected,
+            &TruncationTable::with_eps(&corrected, DEFAULT_EPS),
+            Sweep::MonotoneDivide,
+            &KernelConfig::serial(),
+        )
+        .unwrap();
+        let generation = registry.generation(id).unwrap();
+        assert_eq!(generation.start, start);
+        let CampaignPolicy::Deadline(published) = generation.policy.as_ref() else {
+            panic!("deadline campaign published a budget policy");
+        };
+        assert_eq!(published.n_intervals(), reference.n_intervals());
+        for t in 0..reference.n_intervals() {
+            for n in 1..=trained.n_tasks {
+                assert_eq!(
+                    published.action_index(n, t),
+                    reference.action_index(n, t),
+                    "{kernel:?}: action at (n={n}, t={t})"
+                );
+                assert_eq!(
+                    published.cost_to_go(n, t).to_bits(),
+                    reference.cost_to_go(n, t).to_bits(),
+                    "{kernel:?}: cost at (n={n}, t={t})"
+                );
+            }
+        }
+    }
+}

@@ -528,3 +528,29 @@ fn malformed_requests_are_structured_400s() {
     handle.shutdown();
     join.join().expect("server thread");
 }
+
+/// A body nested past the JSON parser's depth cap is a 400, not a stack
+/// overflow that aborts the node: a megabyte of `[` to a single and a
+/// bulk endpoint, then the server must still answer `/healthz`.
+#[test]
+fn deeply_nested_bodies_are_400s_not_crashes() {
+    let registry = registry();
+    let (handle, join) = Server::spawn("127.0.0.1:0", Arc::clone(&registry)).expect("bind");
+    let addr = handle.addr();
+
+    let body = "[".repeat(1 << 20);
+    for path in ["/campaigns", "/campaigns/quotes"] {
+        let (status, reply) = request(addr, "POST", path, Some(&body));
+        assert_eq!(status, 400, "{path}: {reply:?}");
+        assert_eq!(text(&reply, "error"), "bad_request");
+        assert!(
+            text(&reply, "message").contains("nesting"),
+            "{path}: {reply:?}"
+        );
+    }
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}

@@ -87,11 +87,67 @@ impl Poisson {
     /// The truncation point `s0` of Section 3.2: the smallest `s` such that
     /// `Pr[X ≥ s] ≤ eps`. All DP transition terms with `s ≥ s0` may be
     /// dropped with total probability mass at most `eps` (Theorem 1).
+    ///
+    /// One pass of the pmf recurrence proposes `s0`; the exact predicate
+    /// `sf(s) ≤ eps` then confirms it at `s0` and `s0 − 1`, walking while
+    /// either check fails — two `gamma_p` calls in the common case. When
+    /// the pass cannot reach `eps` (`exp(−λ)` underflows, or rounding
+    /// holds its running tail above `eps`) the bracketed search over the
+    /// same predicate decides instead.
     pub fn truncation_point(&self, eps: f64) -> u64 {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
         if self.lambda == 0.0 {
             return 1;
         }
+        match self.tail_crossing_guess(eps) {
+            Some(guess) => self.settle_truncation_point(guess, eps),
+            None => self.truncation_point_bracketed(eps),
+        }
+    }
+
+    /// Candidate `s0` from one pass of the pmf recurrence: the first `s`
+    /// whose tail `1 − Σ_{k<s} pmf(k)` is at most `eps`. `None` when
+    /// `exp(−λ)` is not a normal float, or when the pmf terms past the
+    /// mode have fallen far below `eps` while rounding in the running
+    /// head keeps the tail above it.
+    fn tail_crossing_guess(&self, eps: f64) -> Option<u64> {
+        let lambda = self.lambda;
+        let mut p = (-lambda).exp();
+        if p < f64::MIN_POSITIVE {
+            return None;
+        }
+        let mut head = p;
+        let mut k = 0u64;
+        while 1.0 - head > eps {
+            k += 1;
+            p *= lambda / k as f64;
+            head += p;
+            if k as f64 > lambda && (p < eps * 1e-3 || p == 0.0) {
+                return None;
+            }
+        }
+        Some(k + 1)
+    }
+
+    /// Move `guess` to the point where the exact survival function
+    /// crosses `eps`: `sf(s) ≤ eps < sf(s − 1)`.
+    fn settle_truncation_point(&self, guess: u64, eps: f64) -> u64 {
+        let mut s = guess.max(1);
+        while self.sf(s) > eps {
+            s += 1;
+        }
+        // sf(0) = 1 > eps, so the walk down stops at 1 at the latest.
+        while s > 1 && self.sf(s - 1) <= eps {
+            s -= 1;
+        }
+        s
+    }
+
+    /// [`Poisson::truncation_point`] by exponential bracketing and
+    /// bisection on the survival function — the fallback when the pmf
+    /// pass cannot reach `eps`, and the reference the fast path is tested
+    /// against.
+    fn truncation_point_bracketed(&self, eps: f64) -> u64 {
         // Exponential bracketing above the mean, then binary search on the
         // monotone survival function.
         let mut lo = self.lambda.floor() as u64; // sf(lo) ~ 0.5 > eps for eps << 1
@@ -290,6 +346,29 @@ mod tests {
                     s0 == 0 || d.sf(s0 - 1) > eps,
                     "s0 not minimal for λ={lambda}, eps={eps}"
                 );
+            }
+        }
+    }
+
+    /// The pmf-pass truncation point must equal the bracketed search on
+    /// a dense (λ, ε) grid: λ ∈ [1e-6, 3000] in ≈1.4% geometric steps
+    /// (coarser under Miri), plus means whose `exp(−λ)` underflows.
+    #[test]
+    fn truncation_point_matches_bracketed_search() {
+        let step = if cfg!(miri) { 1.5 } else { 1.014 };
+        let mut lambdas = Vec::new();
+        let mut lambda = 1e-6;
+        while lambda <= 3000.0 {
+            lambdas.push(lambda);
+            lambda *= step;
+        }
+        lambdas.extend([746.0, 900.0, 5000.0]);
+        for &lambda in &lambdas {
+            let d = Poisson::new(lambda);
+            for eps in [1e-3, 1e-6, 1e-8, 1e-9, 1e-12, 1e-15] {
+                let s0 = d.truncation_point(eps);
+                assert_eq!(s0, d.truncation_point_bracketed(eps), "λ={lambda}, ε={eps}");
+                assert!(d.sf(s0) <= eps && d.sf(s0 - 1) > eps, "λ={lambda}, ε={eps}");
             }
         }
     }

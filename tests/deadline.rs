@@ -127,3 +127,53 @@ fn price_controller_is_object_safe_and_clamps() {
         assert!((0.0..=40.0).contains(&p));
     }
 }
+
+/// Drift re-solves run Algorithm 2 ([`Sweep::MonotoneDivide`]), which
+/// rests on Conjecture 1. Gate it on the traffic a server sees: the §5.2
+/// deadline problem re-solved from several start intervals, with the
+/// trained arrivals scaled by both ends of the correction clamp and by 1,
+/// at the registry's and the adaptive pricer's default truncations.
+/// Every cell must match the dense Algorithm 1 sweep bit for bit.
+#[test]
+fn resolves_match_dense_sweep() {
+    use finish_them::core::kernel::deadline::solve_deadline;
+    use finish_them::core::kernel::{KernelConfig, Sweep, TruncationTable};
+    use finish_them::sim::PaperScenario;
+
+    let scenario = PaperScenario::new(42);
+    let full = scenario.deadline_problem(500.0);
+    let nt = full.n_intervals();
+    let serial = KernelConfig::serial();
+    for start in [0, nt / 2, nt - 12, nt - 3] {
+        for correction in [0.25, 1.0, 4.0] {
+            let sub = DeadlineProblem::new(
+                full.n_tasks,
+                full.interval_arrivals[start..]
+                    .iter()
+                    .map(|l| l * correction)
+                    .collect(),
+                full.actions.clone(),
+                full.penalty,
+            );
+            for eps in [1e-8, 1e-9] {
+                let trunc = TruncationTable::with_eps(&sub, eps);
+                let dense = solve_deadline(&sub, &trunc, Sweep::Dense, &serial).unwrap();
+                let divide = solve_deadline(&sub, &trunc, Sweep::MonotoneDivide, &serial).unwrap();
+                for t in 0..sub.n_intervals() {
+                    for n in 1..=sub.n_tasks {
+                        assert_eq!(
+                            dense.action_index(n, t),
+                            divide.action_index(n, t),
+                            "start {start}, correction {correction}, eps {eps}, (n={n}, t={t})"
+                        );
+                        assert_eq!(
+                            dense.cost_to_go(n, t).to_bits(),
+                            divide.cost_to_go(n, t).to_bits(),
+                            "start {start}, correction {correction}, eps {eps}, (n={n}, t={t})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
