@@ -1,13 +1,12 @@
-//! Policy-file validation: `scripts/audit_allow.json` (the lint
-//! allowlist) and `scripts/perf_floors.json` (the perf-gate floors).
+//! Policy-file validation for `scripts/audit_allow.json`, the lint
+//! allowlist.
 //!
-//! Both files are checked-in policy, so drift is treated as a hard
+//! The allowlist is checked-in policy, so drift is treated as a hard
 //! error, not a warning: unknown keys (typos silently disabling an
-//! entry), allowlist paths that no longer exist (stale suppressions),
-//! and allowlist entries no finding matched (dead suppressions) all
-//! fail the audit. The floors file is validated against the shape
-//! `crates/load/src/gate.rs` parses, so a malformed edit fails here in
-//! the required audit step instead of inside the optional perf leg.
+//! entry), paths that no longer exist (stale suppressions), and
+//! entries no finding matched (dead suppressions) all fail the audit.
+//! (`scripts/perf_floors.json` has one parser, the perf gate's
+//! `ft_load::gate::Floors::from_json`, which is just as strict.)
 
 use crate::report::Finding;
 use serde::{map_get, Value};
@@ -177,125 +176,6 @@ impl Allowlist {
     }
 }
 
-/// Validate `scripts/perf_floors.json` against the schema the perf
-/// gate parses: unknown keys anywhere are hard errors.
-pub fn validate_floors(text: &str, rel_path: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let file_err = |msg: &str| Finding::new("config", rel_path, 0, msg);
-
-    let value: Value = match serde_json::from_str(text) {
-        Ok(v) => v,
-        Err(e) => return vec![file_err(&format!("not valid JSON: {e:?}"))],
-    };
-    let Some(map) = value.as_map() else {
-        return vec![file_err("top level must be an object")];
-    };
-    for (key, _) in map {
-        if !matches!(key.as_str(), "comment" | "tolerance" | "backends") {
-            findings.push(file_err(&format!("unknown top-level key `{key}`")));
-        }
-    }
-    match map_get(map, "tolerance").ok().and_then(|v| v.as_num()) {
-        Some(t) if (0.0..1.0).contains(&t) => {}
-        Some(t) => findings.push(file_err(&format!("`tolerance` {t} outside [0, 1)"))),
-        None => findings.push(file_err("missing numeric `tolerance`")),
-    }
-    let Some(backends) = map_get(map, "backends").ok().and_then(|v| v.as_seq()) else {
-        findings.push(file_err("missing array `backends`"));
-        return findings;
-    };
-    for (i, entry) in backends.iter().enumerate() {
-        let entry_err =
-            |msg: String| Finding::new("config", rel_path, 0, &format!("backends[{i}]: {msg}"));
-        let Some(emap) = entry.as_map() else {
-            findings.push(entry_err("must be an object".into()));
-            continue;
-        };
-        for (key, _) in emap {
-            if !matches!(
-                key.as_str(),
-                "backend"
-                    | "scenario"
-                    | "min_throughput_rps"
-                    | "max_p99_ns"
-                    | "min_throughput_frac_of"
-                    | "min_pmf_cache_hit_rate"
-            ) {
-                findings.push(entry_err(format!("unknown key `{key}`")));
-            }
-        }
-        if map_get(emap, "backend")
-            .ok()
-            .and_then(|v| v.as_str())
-            .is_none()
-        {
-            findings.push(entry_err("needs string `backend`".into()));
-        }
-        match map_get(emap, "min_throughput_rps")
-            .ok()
-            .and_then(|v| v.as_num())
-        {
-            Some(rps) if rps > 0.0 => {}
-            Some(rps) => {
-                findings.push(entry_err(format!("`min_throughput_rps` {rps} must be > 0")))
-            }
-            None => findings.push(entry_err("needs numeric `min_throughput_rps`".into())),
-        }
-        match map_get(emap, "max_p99_ns").ok().and_then(|v| v.as_map()) {
-            Some(p99) => {
-                for (op, v) in p99 {
-                    match v.as_num() {
-                        Some(ns) if ns > 0.0 => {}
-                        _ => findings.push(entry_err(format!(
-                            "`max_p99_ns.{op}` must be a positive number"
-                        ))),
-                    }
-                }
-            }
-            None => findings.push(entry_err("needs object `max_p99_ns`".into())),
-        }
-        if let Ok(rate) = map_get(emap, "min_pmf_cache_hit_rate") {
-            match rate.as_num() {
-                Some(r) if r > 0.0 && r <= 1.0 => {}
-                _ => findings.push(entry_err(
-                    "`min_pmf_cache_hit_rate` must be in (0, 1]".into(),
-                )),
-            }
-        }
-        if let Ok(frac_of) = map_get(emap, "min_throughput_frac_of") {
-            let Some(fmap) = frac_of.as_map() else {
-                findings.push(entry_err(
-                    "`min_throughput_frac_of` must be an object".into(),
-                ));
-                continue;
-            };
-            for (key, _) in fmap {
-                if !matches!(key.as_str(), "backend" | "scenario" | "frac") {
-                    findings.push(entry_err(format!(
-                        "unknown key `min_throughput_frac_of.{key}`"
-                    )));
-                }
-            }
-            if map_get(fmap, "backend")
-                .ok()
-                .and_then(|v| v.as_str())
-                .is_none()
-            {
-                findings.push(entry_err(
-                    "`min_throughput_frac_of` needs string `backend`".into(),
-                ));
-            }
-            match map_get(fmap, "frac").ok().and_then(|v| v.as_num()) {
-                Some(frac) if frac > 0.0 && frac <= 1.0 => {}
-                _ => findings.push(entry_err(
-                    "`min_throughput_frac_of.frac` must be in (0, 1]".into(),
-                )),
-            }
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,50 +268,5 @@ mod tests {
         assert_eq!(kept.len(), 1, "{kept:?}");
         assert!(kept[0].message.contains("unused allowlist entry"));
         assert!(kept[0].message.contains("L1"));
-    }
-
-    #[test]
-    fn floors_schema_catches_typos() {
-        let good = std::fs::read_to_string(
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scripts/perf_floors.json"),
-        )
-        .expect("checked-in floors");
-        assert!(validate_floors(&good, "scripts/perf_floors.json").is_empty());
-
-        let typo = good.replace("min_throughput_rps", "min_thruput_rps");
-        let findings = validate_floors(&typo, "scripts/perf_floors.json");
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("unknown key `min_thruput_rps`")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("needs numeric `min_throughput_rps`")));
-    }
-
-    #[test]
-    fn floors_bounds_are_enforced() {
-        let text = r#"{"tolerance": 1.5, "backends": [
-            {"backend": "in_process", "min_throughput_rps": -1,
-             "max_p99_ns": {"price": 0},
-             "min_pmf_cache_hit_rate": 1.5,
-             "min_throughput_frac_of": {"backend": "x", "frac": 2.0}}
-        ]}"#;
-        let findings = validate_floors(text, "f.json");
-        let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-        assert!(
-            msgs.iter().any(|m| m.contains("outside [0, 1)")),
-            "{msgs:?}"
-        );
-        assert!(msgs.iter().any(|m| m.contains("must be > 0")), "{msgs:?}");
-        assert!(
-            msgs.iter().any(|m| m.contains("max_p99_ns.price")),
-            "{msgs:?}"
-        );
-        assert!(msgs.iter().any(|m| m.contains("frac")), "{msgs:?}");
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("min_pmf_cache_hit_rate` must be in (0, 1]")),
-            "{msgs:?}"
-        );
     }
 }

@@ -4,9 +4,11 @@
 //! sources (vendored stand-ins excluded) enforcing the invariants the
 //! compiler can't: justification comments on `unsafe` and relaxed
 //! atomics, the thread-spawn budget, the metric-name grammar, the span-name
-//! grammar, and the serving tier's mutex-poisoning policy — plus schema validation of
-//! the checked-in policy files so a typo in an allowlist or perf floor
-//! fails the build instead of silently disabling a gate.
+//! grammar, and the serving tier's mutex-poisoning policy — plus schema
+//! validation of the checked-in lint allowlist, so a typo in it fails the
+//! build instead of silently disabling a suppression. (The perf floors in
+//! `scripts/perf_floors.json` are parsed, strictly, by the perf gate
+//! itself: `ft_load::gate::Floors::from_json`.)
 //!
 //! Run it from the workspace root:
 //!
@@ -27,9 +29,8 @@ pub mod scan;
 use report::{Finding, Report};
 use std::path::PathBuf;
 
-/// Workspace-relative locations of the policy files.
+/// Workspace-relative location of the lint allowlist.
 pub const ALLOW_PATH: &str = "scripts/audit_allow.json";
-pub const FLOORS_PATH: &str = "scripts/perf_floors.json";
 
 /// Audit options; `Default` matches the CI invocation.
 #[derive(Debug, Default)]
@@ -38,11 +39,9 @@ pub struct Options {
     pub root: Option<PathBuf>,
     /// Override the allowlist location (tests use fixture copies).
     pub allow_path: Option<PathBuf>,
-    /// Override the floors location.
-    pub floors_path: Option<PathBuf>,
 }
 
-/// Run the full audit: schema-check both policy files, scan every
+/// Run the full audit: schema-check the allowlist, scan every
 /// workspace `.rs` file, apply the allowlist.
 pub fn run(opts: &Options) -> std::io::Result<Report> {
     let root = match &opts.root {
@@ -51,7 +50,7 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
     };
     let mut findings: Vec<Finding> = Vec::new();
 
-    // Policy files first: a malformed allowlist must fail loudly, not
+    // The allowlist first: a malformed one must fail loudly, not
     // silently suppress nothing.
     let allow_abs = opts
         .allow_path
@@ -73,20 +72,6 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
             config::Allowlist::default()
         }
     };
-    let floors_abs = opts
-        .floors_path
-        .clone()
-        .unwrap_or_else(|| root.join(FLOORS_PATH));
-    match std::fs::read_to_string(&floors_abs) {
-        Ok(text) => findings.extend(config::validate_floors(&text, FLOORS_PATH)),
-        Err(e) => findings.push(Finding::new(
-            "config",
-            FLOORS_PATH,
-            0,
-            &format!("unreadable: {e}"),
-        )),
-    }
-
     let files = scan::workspace_files(&root)?;
     let files_scanned = files.len();
     let mut lint_findings: Vec<Finding> = Vec::new();

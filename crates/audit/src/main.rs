@@ -1,7 +1,7 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! ft-audit [--root PATH] [--json] [--allow PATH] [--floors PATH]
+//! ft-audit [--root PATH] [--json] [--allow PATH]
 //! ```
 //!
 //! Exit status: 0 clean, 1 findings, 2 usage or I/O error.
@@ -25,12 +25,8 @@ fn main() -> ExitCode {
                 Some(v) => opts.allow_path = Some(PathBuf::from(v)),
                 None => return usage("--allow needs a value"),
             },
-            "--floors" => match argv.next() {
-                Some(v) => opts.floors_path = Some(PathBuf::from(v)),
-                None => return usage("--floors needs a value"),
-            },
             "--help" | "-h" => {
-                println!("usage: ft-audit [--root PATH] [--json] [--allow PATH] [--floors PATH]");
+                println!("usage: ft-audit [--root PATH] [--json] [--allow PATH]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -58,6 +54,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("ft-audit: {msg}");
-    eprintln!("usage: ft-audit [--root PATH] [--json] [--allow PATH] [--floors PATH]");
+    eprintln!("usage: ft-audit [--root PATH] [--json] [--allow PATH]");
     ExitCode::from(2)
 }

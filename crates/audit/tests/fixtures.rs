@@ -30,15 +30,13 @@ fn audit_with(tree: &str, allow: &str) -> Output {
         .arg(fixtures.join(tree))
         .arg("--allow")
         .arg(fixtures.join(allow))
-        .arg("--floors")
-        .arg(fixtures.join("policy/perf_floors.json"))
         .arg("--json")
         .output()
         .expect("ft-audit runs")
 }
 
-/// Run the real binary against a fixture tree with the shared policy
-/// files.
+/// Run the real binary against a fixture tree with the shared
+/// allowlist.
 fn audit_fixture(tree: &str) -> Output {
     audit_with(tree, "policy/audit_allow.json")
 }
@@ -187,8 +185,8 @@ fn l3_sites_budget_stale_count_fails() {
     );
 }
 
-/// Malformed policy files are findings in their own right: unknown
-/// keys, dangling paths, unknown lints, out-of-range floors.
+/// A malformed allowlist is a finding in its own right: unknown keys,
+/// dangling paths, unknown lints, misplaced or non-positive `sites`.
 #[test]
 fn config_reject_fixture_fails() {
     let fixtures = fixtures_dir();
@@ -197,17 +195,17 @@ fn config_reject_fixture_fails() {
         .arg(fixtures.join("accept"))
         .arg("--allow")
         .arg(fixtures.join("reject_config/audit_allow.json"))
-        .arg("--floors")
-        .arg(fixtures.join("reject_config/perf_floors.json"))
         .arg("--json")
         .output()
         .expect("ft-audit runs");
     let (code, findings) = report(&output);
     assert_eq!(code, 1);
     let config: Vec<_> = findings.iter().filter(|(l, _)| l == "config").collect();
-    assert!(
-        config.len() >= 5,
-        "typo key, dangling path, unknown lint, floors typo (x2), tolerance: {findings:?}"
+    assert_eq!(
+        config.len(),
+        7,
+        "typo key, dangling path (x3), unknown lint, sites on a non-L3 entry, \
+         zero sites: {findings:?}"
     );
 }
 

@@ -1,23 +1,24 @@
-//! Shard-count ablation for the campaign registry's hot paths: the
-//! same quote/observe/churn mix against a 1-shard store (the
-//! historical single global map) and the default sharded store. The
-//! checked-in `BENCH_registry.json` at the workspace root is a
-//! snapshot of this bench (regenerate with
+//! The campaign registry's hot paths: the quote latency of one solved
+//! paper-scale campaign, the amortized cost of campaign churn, and a
+//! shard-count ablation running the same quote/observe/churn mix
+//! against a 1-shard store (the historical single global map) and the
+//! default sharded store. The checked-in `BENCH_registry.json` at the
+//! workspace root is a snapshot of this bench (regenerate with
 //! `CRITERION_JSON=$PWD/BENCH_registry.json cargo bench -p ft-bench
 //! --bench registry_shard`).
 //!
-//! NOTE (1-core host): on the single-core dev container the contended
-//! figures measure lock hand-off latency, not parallel throughput —
-//! the shard split's point is that on a multicore host quote readers
-//! on different campaigns stop serializing behind one map lock at all.
+//! NOTE (small hosts): on one or two cores the contended figures
+//! measure lock hand-off latency, not parallel throughput — the shard
+//! split's point is that on a multicore host quote readers on
+//! different campaigns stop serializing behind one map lock at all.
 //! Re-capture on a ≥4-core host.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ft_core::registry::{
     CampaignObservation, CampaignRegistry, CampaignSpec, ObservedState, RegistryConfig,
 };
-use ft_core::{ActionSet, BudgetProblem};
-use ft_market::{LogitAcceptance, PriceGrid};
+use ft_core::{ActionSet, BudgetProblem, DeadlineProblem, PenaltyModel};
+use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,6 +34,61 @@ fn budget_spec() -> CampaignSpec {
             100.0,
         ),
     }
+}
+
+/// The paper's §5 deadline campaign: 200 tasks over 72 twenty-minute
+/// intervals.
+fn paper_deadline_spec() -> CampaignSpec {
+    CampaignSpec::Deadline {
+        problem: DeadlineProblem::from_market(
+            200,
+            24.0,
+            72,
+            &ConstantRate::new(5100.0),
+            PriceGrid::new(0, 40),
+            &LogitAcceptance::paper_eq13(),
+            PenaltyModel::Linear { per_task: 1000.0 },
+        ),
+        eps: None,
+    }
+}
+
+/// `CampaignRegistry::quote` against one solved paper-scale deadline
+/// campaign — the hot path behind `GET /campaigns/{id}/price`.
+fn registry_quote(c: &mut Criterion) {
+    let registry = CampaignRegistry::new();
+    let id = registry.register(paper_deadline_spec());
+    registry.solve(id).unwrap();
+    let mut group = c.benchmark_group("registry_shard");
+    group.bench_function("registry_quote", |b| {
+        let mut i = 0u32;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let state = ObservedState::Deadline {
+                remaining: 1 + i % 200,
+                interval: (i % 72) as usize,
+            };
+            black_box(registry.quote(id, state).unwrap())
+        })
+    });
+    group.finish();
+}
+
+/// One full campaign lifecycle turn — register + solve + evict — the
+/// amortized cost of campaign churn around the hot path.
+fn register_solve_evict(c: &mut Criterion) {
+    let registry = CampaignRegistry::new();
+    let mut group = c.benchmark_group("registry_shard");
+    group.sample_size(10);
+    group.bench_function("register_solve_evict", |b| {
+        b.iter(|| {
+            let id = registry.register(paper_deadline_spec());
+            black_box(registry.solve(id).unwrap());
+            registry.evict(id);
+            registry.purge(id);
+        })
+    });
+    group.finish();
 }
 
 /// A solved fleet of small budget campaigns on ids `1..=FLEET`.
@@ -140,5 +196,12 @@ fn status_counts(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, quote_rotation, quote_under_churn, status_counts);
+criterion_group!(
+    benches,
+    registry_quote,
+    register_solve_evict,
+    quote_rotation,
+    quote_under_churn,
+    status_counts
+);
 criterion_main!(benches);

@@ -35,7 +35,7 @@
 //! [`extensions`] covers Section 6 (multiple task types, cost/latency
 //! tradeoff, majority-vote quality control).
 
-//! ## Kernel, registry & service (post-paper layers)
+//! ## Kernel & registry (post-paper layers)
 //!
 //! All five solvers above run on one shared engine, [`kernel`]: a flat
 //! value-table arena, a Poisson transition cache, and a backward-
@@ -44,11 +44,10 @@
 //! campaigns are versioned lifecycle records (`Draft → Solving → Live →
 //! Recalibrating → Exhausted/Evicted`) whose policy generations are
 //! swapped atomically on live recalibration ([`adaptive`]) and persisted
-//! as JSON snapshots. [`service::PricingService`] keeps the batch-
-//! oriented in-process facade with its constant-time
-//! `reprice(campaign, observed_state)` hot path, and the `ft-server`
-//! crate serves the registry over HTTP. See `ARCHITECTURE.md` at the
-//! workspace root.
+//! as JSON snapshots. Its `quote(campaign, observed_state)` is the
+//! constant-time reprice hot path, `solve_many` solves a batch of
+//! drafts concurrently, and the `ft-server` crate serves the registry
+//! over HTTP. See `ARCHITECTURE.md` at the workspace root.
 
 pub mod actions;
 pub mod adaptive;
@@ -65,7 +64,6 @@ pub mod policy;
 pub mod problem;
 pub mod registry;
 pub mod scheduler;
-pub mod service;
 pub mod telemetry;
 pub mod testkit;
 
@@ -83,8 +81,8 @@ pub use penalty::PenaltyModel;
 pub use policy::{DeadlinePolicy, ExactOutcome, FixedPrice, PriceController};
 pub use problem::DeadlineProblem;
 pub use registry::{
-    BudgetDriftOptions, CampaignObservation, CampaignRegistry, CampaignReport, CampaignStatus,
-    ObserveOutcome, PolicyGeneration, PriceQuote, RecalibrationSpec, RegistryConfig,
+    BudgetDriftOptions, CampaignObservation, CampaignPolicy, CampaignRegistry, CampaignReport,
+    CampaignSpec, CampaignStatus, ObserveOutcome, ObservedState, PolicyGeneration, PriceQuote,
+    RecalibrationSpec, RegistryConfig,
 };
 pub use scheduler::{SchedulerStats, SolveContext, SolveScheduler, WaveStats, WaveTicket};
-pub use service::{CampaignPolicy, CampaignSpec, ObservedState, PricingService};

@@ -375,7 +375,8 @@ pub struct CampaignReport {
     pub acceptance_shift: Option<f64>,
 }
 
-/// The concurrent campaign store behind `PricingService` and `ft-server`.
+/// The concurrent campaign store: every in-process embedder, `ft-server`
+/// and `ft-load` price campaigns through it.
 pub struct CampaignRegistry {
     config: RegistryConfig,
     next_id: AtomicU64,
@@ -394,12 +395,9 @@ impl Default for CampaignRegistry {
 
 /// Split a worker budget between batch-level (outer) and kernel-level
 /// (inner) parallelism, resolving the requested count **once** so both
-/// sides of the split are derived from the same number.
-///
-/// (Historically the service resolved `cfg.threads` twice — once for the
-/// split arithmetic and again inside `par_map` — so the two reads could
-/// disagree and over-subscribe; see `thread_split_resolves_once`.)
-pub(crate) fn split_threads(requested: usize, batch_len: usize) -> (usize, usize) {
+/// sides of the split are derived from the same number and cannot
+/// over-subscribe the pool (`thread_split_resolves_once`).
+fn split_threads(requested: usize, batch_len: usize) -> (usize, usize) {
     let outer = ft_exec::resolve_threads(requested);
     let inner = (outer / batch_len.max(1)).max(1);
     (outer, inner)
@@ -423,35 +421,9 @@ impl CampaignRegistry {
         })
     }
 
-    /// Like [`CampaignRegistry::with_config`], sharing a caller-owned
-    /// metrics plane — `ft-server` passes its own so one `/metrics`
-    /// export covers both the HTTP layer and the registry.
-    pub fn with_metrics(
-        cfg: KernelConfig,
-        adaptive: AdaptiveOptions,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
-        Self::with_registry_config_and_metrics(
-            RegistryConfig {
-                kernel: cfg,
-                adaptive,
-                ..RegistryConfig::default()
-            },
-            metrics,
-        )
-    }
-
     /// Full registry configuration (shards, kernel, drift policies).
     pub fn with_registry_config(config: RegistryConfig) -> Self {
-        Self::with_registry_config_and_metrics(config, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// Full configuration plus a caller-owned metrics plane.
-    pub fn with_registry_config_and_metrics(
-        config: RegistryConfig,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
-        let telemetry = RegistryTelemetry::new(metrics);
+        let telemetry = RegistryTelemetry::new(Arc::new(MetricsRegistry::new()));
         let scheduler = SolveScheduler::default().with_counters(
             Arc::clone(&telemetry.batched_solves),
             Arc::clone(&telemetry.pmf_cache_hits),
@@ -745,25 +717,6 @@ impl CampaignRegistry {
                 Err(e)
             }
         }
-    }
-
-    /// [`CampaignRegistry::submit_at`] over a whole batch, dividing the
-    /// worker budget between batch-level and kernel-level parallelism.
-    /// Returns per-campaign results in input order; failures don't fail
-    /// the batch.
-    pub fn submit_many(
-        &self,
-        batch: Vec<(CampaignId, CampaignSpec)>,
-    ) -> Vec<(CampaignId, Result<Arc<PolicyGeneration>>)> {
-        let (outer, inner_threads) = split_threads(self.config.kernel.threads, batch.len());
-        let inner = KernelConfig {
-            threads: inner_threads,
-            grain: self.config.kernel.grain,
-        };
-        let solved = ft_exec::par_map(batch.len(), 1, outer, |i| {
-            self.submit_at(batch[i].0, batch[i].1.clone(), &inner)
-        });
-        batch.into_iter().map(|(id, _)| id).zip(solved).collect()
     }
 
     /// Solve a batch of draft campaigns concurrently, dividing the worker
@@ -1187,15 +1140,6 @@ impl CampaignRegistry {
     /// with `ids().len()`.
     pub fn total_records(&self) -> usize {
         self.store.total_records()
-    }
-
-    /// Number of campaigns currently holding a live policy generation.
-    pub fn live_len(&self) -> usize {
-        self.store
-            .records()
-            .iter()
-            .filter(|(_, c)| c.generation().is_some())
-            .count()
     }
 }
 

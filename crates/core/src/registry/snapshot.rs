@@ -30,6 +30,10 @@ use crate::error::{PricingError, Result};
 use crate::kernel::KernelConfig;
 use crate::policy::DeadlinePolicy;
 use serde::{map_get, Deserialize, Serialize, Value};
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// On-disk snapshot format version; bump on layout changes and keep a
@@ -429,24 +433,51 @@ impl CampaignRegistry {
         Ok(())
     }
 
-    /// Write a snapshot to `path` (see [`CampaignRegistry::to_json`]).
-    pub fn save(&self, path: &std::path::Path) -> Result<()> {
+    /// Write a snapshot to `path` (see [`CampaignRegistry::to_json`]),
+    /// replacing any previous one atomically: the document goes to a
+    /// sibling temp file that is fsynced and renamed over `path`, then
+    /// the directory is fsynced so the rename survives a crash too. A
+    /// crash mid-write leaves the previous snapshot whole.
+    pub fn save(&self, path: &Path) -> Result<()> {
         let json = self.to_json()?;
-        std::fs::write(path, json)
+        replace_file(path, json.as_bytes())
             .map_err(|e| PricingError::InvalidProblem(format!("snapshot write: {e}")))
     }
 
     /// Load a snapshot written by [`CampaignRegistry::save`] (any
     /// format version).
-    pub fn load(
-        path: &std::path::Path,
-        cfg: KernelConfig,
-        adaptive: AdaptiveOptions,
-    ) -> Result<Self> {
+    pub fn load(path: &Path, cfg: KernelConfig, adaptive: AdaptiveOptions) -> Result<Self> {
         let json = std::fs::read_to_string(path)
             .map_err(|e| PricingError::InvalidProblem(format!("snapshot read: {e}")))?;
         Self::from_json(&json, cfg, adaptive)
     }
+}
+
+/// Temp-file, fsync, rename, fsync-the-directory. The temp name is
+/// unique per call, so concurrent saves to one path cannot write into
+/// each other's file; the last rename wins.
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    // ORDERING: Relaxed — the counter only makes temp names unique;
+    // nothing is published through it.
+    let save = SAVES.fetch_add(1, Ordering::Relaxed);
+    let mut temp_name = path.file_name().unwrap_or_default().to_os_string();
+    temp_name.push(format!(".{}.{save}.tmp", std::process::id()));
+    let temp = path.with_file_name(temp_name);
+    let written = File::create(&temp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&temp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    written?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -743,5 +774,103 @@ mod tests {
         assert_eq!(after.spent_cents, before.spent_cents);
         assert_eq!(after.acceptance_shift, before.acceptance_shift);
         assert!((after.correction.unwrap() - before.correction.unwrap()).abs() < 1e-12);
+    }
+
+    /// A solved deadline and a solved, observed budget campaign.
+    fn saved_fleet() -> CampaignRegistry {
+        let registry = CampaignRegistry::new();
+        let deadline = registry.register(CampaignSpec::Deadline {
+            problem: crate::testkit::varied_problems().remove(1),
+            eps: None,
+        });
+        registry.solve(deadline).unwrap();
+        let budget = registry.register(CampaignSpec::Budget {
+            problem: tiny_budget_problem(),
+        });
+        registry.solve(budget).unwrap();
+        registry
+            .observe(
+                budget,
+                CampaignObservation::Budget {
+                    completions: 3,
+                    spent_cents: 20,
+                    posted: None,
+                    offers: None,
+                },
+            )
+            .unwrap();
+        registry
+    }
+
+    /// Every quote either registry gives on a grid of states, as bits
+    /// (errors included), for bitwise comparison.
+    fn quote_grid(registry: &CampaignRegistry) -> Vec<std::result::Result<(u64, u64), String>> {
+        let mut quotes = Vec::new();
+        for id in registry.ids() {
+            for remaining in 0..=12 {
+                for state in [
+                    ObservedState::Deadline {
+                        remaining,
+                        interval: remaining as usize % 6,
+                    },
+                    ObservedState::Budget {
+                        remaining,
+                        budget_cents: 5 * remaining as usize,
+                    },
+                ] {
+                    quotes.push(
+                        registry
+                            .quote(id, state)
+                            .map(|q| (q.price.to_bits(), q.generation))
+                            .map_err(|e| e.to_string()),
+                    );
+                }
+            }
+        }
+        quotes
+    }
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ft-core-snapshot-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn saving_twice_replaces_the_file_and_leaves_no_temp_file() {
+        let registry = saved_fleet();
+        let dir = scratch_dir("twice");
+        let path = dir.join("registry.json");
+        registry.save(&path).unwrap();
+        registry.save(&path).unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("registry.json")]);
+        let loaded =
+            CampaignRegistry::load(&path, KernelConfig::default(), AdaptiveOptions::default())
+                .unwrap();
+        assert_eq!(quote_grid(&loaded), quote_grid(&registry));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_cut_in_half_is_a_load_error() {
+        let dir = scratch_dir("cut");
+        let path = dir.join("registry.json");
+        saved_fleet().save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let loaded =
+            CampaignRegistry::load(&path, KernelConfig::default(), AdaptiveOptions::default());
+        assert!(
+            matches!(loaded, Err(PricingError::InvalidProblem(ref m)) if m.contains("snapshot parse")),
+            "a truncated snapshot must not load: {:?}",
+            loaded.map(|r| r.ids())
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

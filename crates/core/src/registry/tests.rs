@@ -1468,3 +1468,74 @@ fn deadline_recalibration_honours_kernel_config() {
         }
     }
 }
+
+/// Budget quotes past the solved table clamp onto its edge instead of
+/// panicking (regression: an oversized `remaining` used to panic in
+/// `BudgetMdpPolicy::idx`).
+#[test]
+fn budget_quotes_clamp_oversized_states_to_the_table_edge() {
+    let registry = CampaignRegistry::new();
+    let id = registry.register(CampaignSpec::Budget {
+        problem: tiny_budget_problem(),
+    });
+    registry.solve(id).unwrap();
+    let mdp = crate::budget::solve_budget_mdp(&tiny_budget_problem()).unwrap();
+    let price = |remaining, budget_cents| {
+        registry
+            .quote(
+                id,
+                ObservedState::Budget {
+                    remaining,
+                    budget_cents,
+                },
+            )
+            .unwrap()
+            .price
+    };
+    // An off-path state inside the table.
+    assert_eq!(price(4, 30), f64::from(mdp.price(4, 30).unwrap()));
+    // An oversized budget clamps to the table's budget edge…
+    assert_eq!(
+        price(4, 10_000),
+        f64::from(mdp.price(4, mdp.budget_cents()).unwrap())
+    );
+    // …and an oversized remaining-task count to its task edge.
+    assert_eq!(
+        price(12, 10_000),
+        f64::from(mdp.price(mdp.n_tasks(), mdp.budget_cents()).unwrap())
+    );
+}
+
+/// Regression for the double-resolution bug: the outer/inner split
+/// must be derived from ONE `resolve_threads` call, so the inner
+/// kernels can never over-subscribe the budget the outer fan-out was
+/// planned against.
+#[test]
+fn thread_split_resolves_once() {
+    for requested in [1usize, 2, 3, 6, 8, 32] {
+        for batch_len in [1usize, 2, 3, 5, 16, 100] {
+            let (outer, inner) = split_threads(requested, batch_len);
+            assert_eq!(
+                outer,
+                ft_exec::resolve_threads(requested),
+                "outer must be the resolved budget"
+            );
+            assert_eq!(
+                inner,
+                (outer / batch_len.max(1)).max(1),
+                "inner must be derived from the same resolved outer"
+            );
+            // Over-subscription bound: when the batch saturates the
+            // budget the kernels go serial; otherwise outer×inner
+            // stays within one budget of the pool.
+            assert!(
+                inner == 1 || batch_len * inner <= outer,
+                "requested={requested} batch={batch_len}: outer={outer} inner={inner}"
+            );
+        }
+    }
+    // Zero means "machine budget" — both sides must still agree.
+    let (outer, inner) = split_threads(0, 4);
+    assert_eq!(outer, ft_exec::resolve_threads(0));
+    assert_eq!(inner, (outer / 4).max(1));
+}

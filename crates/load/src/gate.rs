@@ -93,12 +93,20 @@ pub struct Floors {
 }
 
 impl Floors {
-    /// Parse the floors document, validating shapes and ranges.
+    /// Parse the floors document strictly. This is the only parser of
+    /// `scripts/perf_floors.json`, so anything that could silently
+    /// weaken the gate is an error: an unknown key (a typo would drop
+    /// its floor), an out-of-range or non-numeric bound, an entry
+    /// without its `max_p99_ns` object, or no entries at all. The first
+    /// error found is returned.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let value: Value = serde_json::from_str(json).map_err(|e| format!("floors parse: {e}"))?;
         let map = value
             .as_map()
             .ok_or_else(|| "floors: not a JSON object".to_string())?;
+        if let Some(key) = unknown_key(map, &["comment", "tolerance", "backends"]) {
+            return Err(format!("floors: unknown top-level key `{key}`"));
+        }
         let tolerance = map_get(map, "tolerance")
             .ok()
             .and_then(Value::as_num)
@@ -121,6 +129,9 @@ impl Floors {
                 .and_then(Value::as_str)
                 .ok_or_else(|| "floors: backend entry missing `backend`".to_string())?
                 .to_string();
+            if let Some(key) = unknown_key(entry_map, ENTRY_KEYS) {
+                return Err(format!("floors[{backend}]: unknown key `{key}`"));
+            }
             let scenario = match map_get(entry_map, "scenario") {
                 Ok(v) => Some(
                     v.as_str()
@@ -133,33 +144,37 @@ impl Floors {
                 .ok()
                 .and_then(Value::as_num)
                 .ok_or_else(|| format!("floors[{backend}]: missing `min_throughput_rps`"))?;
-            if min_throughput_rps <= 0.0 {
+            if !in_bounds(min_throughput_rps, f64::INFINITY) {
                 return Err(format!(
                     "floors[{backend}]: min_throughput_rps must be positive"
                 ));
             }
+            let ceilings = map_get(entry_map, "max_p99_ns")
+                .ok()
+                .and_then(Value::as_map)
+                .ok_or_else(|| format!("floors[{backend}]: missing object `max_p99_ns`"))?;
             let mut max_p99_ns = Vec::new();
-            if let Ok(ceilings) = map_get(entry_map, "max_p99_ns") {
-                let ceilings = ceilings
-                    .as_map()
-                    .ok_or_else(|| format!("floors[{backend}]: `max_p99_ns` is not an object"))?;
-                for (op, ceiling) in ceilings {
-                    let ceiling = ceiling.as_num().ok_or_else(|| {
-                        format!("floors[{backend}]: p99 ceiling for `{op}` is not a number")
-                    })?;
-                    if ceiling <= 0.0 {
-                        return Err(format!(
-                            "floors[{backend}]: p99 ceiling for `{op}` must be positive"
-                        ));
-                    }
-                    max_p99_ns.push((op.clone(), ceiling));
+            for (op, ceiling) in ceilings {
+                let ceiling = ceiling.as_num().ok_or_else(|| {
+                    format!("floors[{backend}]: p99 ceiling for `{op}` is not a number")
+                })?;
+                if !in_bounds(ceiling, f64::INFINITY) {
+                    return Err(format!(
+                        "floors[{backend}]: p99 ceiling for `{op}` must be positive"
+                    ));
                 }
+                max_p99_ns.push((op.clone(), ceiling));
             }
             let min_throughput_frac_of = match map_get(entry_map, "min_throughput_frac_of") {
                 Ok(v) => {
                     let frac_map = v.as_map().ok_or_else(|| {
                         format!("floors[{backend}]: `min_throughput_frac_of` is not an object")
                     })?;
+                    if let Some(key) = unknown_key(frac_map, &["backend", "scenario", "frac"]) {
+                        return Err(format!(
+                            "floors[{backend}]: unknown key `min_throughput_frac_of.{key}`"
+                        ));
+                    }
                     let ref_backend = map_get(frac_map, "backend")
                         .ok()
                         .and_then(Value::as_str)
@@ -183,9 +198,9 @@ impl Floors {
                         .ok_or_else(|| {
                             format!("floors[{backend}]: frac-of floor missing numeric `frac`")
                         })?;
-                    if frac <= 0.0 {
+                    if !in_bounds(frac, 1.0) {
                         return Err(format!(
-                            "floors[{backend}]: frac-of `frac` must be positive"
+                            "floors[{backend}]: frac-of `frac` {frac} outside (0, 1]"
                         ));
                     }
                     Some(FracOf {
@@ -201,7 +216,7 @@ impl Floors {
                     let rate = v.as_num().ok_or_else(|| {
                         format!("floors[{backend}]: `min_pmf_cache_hit_rate` is not a number")
                     })?;
-                    if !(rate > 0.0 && rate <= 1.0) {
+                    if !in_bounds(rate, 1.0) {
                         return Err(format!(
                             "floors[{backend}]: min_pmf_cache_hit_rate {rate} outside (0, 1]"
                         ));
@@ -227,6 +242,28 @@ impl Floors {
             backends,
         })
     }
+}
+
+/// Every key a backend entry may carry.
+const ENTRY_KEYS: &[&str] = &[
+    "backend",
+    "scenario",
+    "min_throughput_rps",
+    "max_p99_ns",
+    "min_throughput_frac_of",
+    "min_pmf_cache_hit_rate",
+];
+
+/// The first key of `map` outside `allowed`, if any.
+fn unknown_key<'m>(map: &'m [(String, Value)], allowed: &[&str]) -> Option<&'m str> {
+    map.iter()
+        .map(|(key, _)| key.as_str())
+        .find(|key| !allowed.contains(key))
+}
+
+/// Whether `x` lies in `(0, max]`; NaN (a JSON `null`) never does.
+fn in_bounds(x: f64, max: f64) -> bool {
+    x > 0.0 && x <= max
 }
 
 /// One gate comparison, kept for the success-path log so CI output
@@ -457,6 +494,116 @@ mod tests {
         assert!(Floors::from_json(r#"{"tolerance": 0.1, "backends": []}"#).is_err());
     }
 
+    /// The checked-in floors parse, so a typo there fails this test in
+    /// both CI `test` legs, not only in the fleet job's gate run.
+    #[test]
+    fn checked_in_floors_parse_and_typos_fail() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scripts/perf_floors.json"
+        );
+        let good = std::fs::read_to_string(path).expect("checked-in floors");
+        let floors = Floors::from_json(&good).unwrap();
+        assert!(floors
+            .backends
+            .iter()
+            .any(|b| b.min_pmf_cache_hit_rate.is_some()));
+        let typo = good.replace("min_throughput_rps", "min_thruput_rps");
+        let err = Floors::from_json(&typo).unwrap_err();
+        assert!(err.contains("unknown key `min_thruput_rps`"), "{err}");
+    }
+
+    /// A valid one-entry document carrying every optional field, with
+    /// `{tolerance}`, `{entry}` and `{frac_of}` spliced into the three
+    /// levels of the schema.
+    fn floors_doc(tolerance: &str, entry: &str, frac_of: &str) -> String {
+        format!(
+            r#"{{"comment": "c", "tolerance": {tolerance}, "backends": [
+                {{"backend": "socket", "scenario": "fast",
+                  "min_throughput_rps": 100.0,
+                  "max_p99_ns": {{"price": 1000.0}},
+                  "min_pmf_cache_hit_rate": 0.5,
+                  {entry}
+                  "min_throughput_frac_of": {{"backend": "in_process",
+                                             {frac_of} "frac": 0.5}}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn typo_keys_fail_at_every_level() {
+        assert!(Floors::from_json(&floors_doc("0.2", "", "")).is_ok());
+        for (doc, key) in [
+            (
+                floors_doc(r#"0.2, "tolerence": 0.2"#, "", ""),
+                "unknown top-level key `tolerence`",
+            ),
+            (
+                floors_doc("0.2", r#""scenaro": "fast","#, ""),
+                "unknown key `scenaro`",
+            ),
+            (
+                floors_doc("0.2", "", r#""scenaro": "fast","#),
+                "unknown key `min_throughput_frac_of.scenaro`",
+            ),
+        ] {
+            let err = Floors::from_json(&doc).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+    }
+
+    /// Each bound on its own: the parser returns the first error, so
+    /// every out-of-range value gets a document of its own.
+    #[test]
+    fn each_out_of_range_bound_fails() {
+        let valid = floors_doc("0.2", "", "");
+        for (from, to, message) in [
+            (
+                r#""tolerance": 0.2"#,
+                r#""tolerance": 1.5"#,
+                "outside [0, 1)",
+            ),
+            (
+                r#""tolerance": 0.2"#,
+                r#""tolerance": null"#,
+                "outside [0, 1)",
+            ),
+            (
+                r#""min_throughput_rps": 100.0"#,
+                r#""min_throughput_rps": -1"#,
+                "min_throughput_rps must be positive",
+            ),
+            (
+                r#""min_throughput_rps": 100.0"#,
+                r#""min_throughput_rps": null"#,
+                "min_throughput_rps must be positive",
+            ),
+            (
+                r#""price": 1000.0"#,
+                r#""price": 0"#,
+                "p99 ceiling for `price` must be positive",
+            ),
+            (
+                r#""max_p99_ns": {"price": 1000.0},"#,
+                "",
+                "missing object `max_p99_ns`",
+            ),
+            (
+                r#""min_pmf_cache_hit_rate": 0.5"#,
+                r#""min_pmf_cache_hit_rate": 1.5"#,
+                "min_pmf_cache_hit_rate 1.5 outside (0, 1]",
+            ),
+            (
+                r#""frac": 0.5"#,
+                r#""frac": 2.0"#,
+                "`frac` 2 outside (0, 1]",
+            ),
+        ] {
+            assert_eq!(valid.matches(from).count(), 1, "{from}");
+            let err = Floors::from_json(&valid.replace(from, to)).unwrap_err();
+            assert!(err.contains(message), "{to:?}: {err}");
+        }
+    }
+
     #[test]
     fn healthy_run_passes_with_tolerance() {
         let floors = Floors::from_json(FLOORS).unwrap();
@@ -481,8 +628,8 @@ mod tests {
         // *any* of them satisfies its floor.
         let floors = Floors::from_json(
             r#"{"tolerance": 0.2, "backends": [
-                {"backend": "in_process", "min_throughput_rps": 1000.0},
-                {"backend": "socket", "min_throughput_rps": 100.0}]}"#,
+                {"backend": "in_process", "min_throughput_rps": 1000.0, "max_p99_ns": {}},
+                {"backend": "socket", "min_throughput_rps": 100.0, "max_p99_ns": {}}]}"#,
         )
         .unwrap();
         let inproc = report("in_process", 5000.0, 1.0);
@@ -508,9 +655,9 @@ mod tests {
     fn scenario_scoped_floors_gate_only_their_scenario() {
         let floors = Floors::from_json(
             r#"{"tolerance": 0.2, "backends": [
-                {"backend": "in_process", "min_throughput_rps": 1000.0},
+                {"backend": "in_process", "min_throughput_rps": 1000.0, "max_p99_ns": {}},
                 {"backend": "in_process", "scenario": "budget-drift-fast",
-                 "min_throughput_rps": 5000.0}]}"#,
+                 "min_throughput_rps": 5000.0, "max_p99_ns": {}}]}"#,
         )
         .unwrap();
         let tagged = |scenario: &str, throughput: f64| {
@@ -554,8 +701,8 @@ mod tests {
         // (minus tolerance) — the host's absolute speed drops out.
         let floors = Floors::from_json(
             r#"{"tolerance": 0.2, "backends": [
-                {"backend": "in_process", "min_throughput_rps": 100.0},
-                {"backend": "socket", "min_throughput_rps": 100.0,
+                {"backend": "in_process", "min_throughput_rps": 100.0, "max_p99_ns": {}},
+                {"backend": "socket", "min_throughput_rps": 100.0, "max_p99_ns": {},
                  "min_throughput_frac_of": {"backend": "in_process", "frac": 0.5}}]}"#,
         )
         .unwrap();
@@ -590,13 +737,13 @@ mod tests {
         // Malformed frac-of entries are parse errors.
         assert!(Floors::from_json(
             r#"{"tolerance": 0.2, "backends": [
-                {"backend": "socket", "min_throughput_rps": 1.0,
+                {"backend": "socket", "min_throughput_rps": 1.0, "max_p99_ns": {},
                  "min_throughput_frac_of": {"backend": "in_process", "frac": 0.0}}]}"#,
         )
         .is_err());
         assert!(Floors::from_json(
             r#"{"tolerance": 0.2, "backends": [
-                {"backend": "socket", "min_throughput_rps": 1.0,
+                {"backend": "socket", "min_throughput_rps": 1.0, "max_p99_ns": {},
                  "min_throughput_frac_of": {"frac": 0.5}}]}"#,
         )
         .is_err());
@@ -607,7 +754,7 @@ mod tests {
         let floors = Floors::from_json(
             r#"{"tolerance": 0.2, "backends": [
                 {"backend": "in_process", "scenario": "storm-fast",
-                 "min_throughput_rps": 100.0,
+                 "min_throughput_rps": 100.0, "max_p99_ns": {},
                  "min_pmf_cache_hit_rate": 0.5}]}"#,
         )
         .unwrap();
@@ -641,7 +788,7 @@ mod tests {
         for bad in ["0.0", "1.5", "\"high\""] {
             let text = format!(
                 r#"{{"tolerance": 0.2, "backends": [
-                    {{"backend": "in_process", "min_throughput_rps": 1.0,
+                    {{"backend": "in_process", "min_throughput_rps": 1.0, "max_p99_ns": {{}},
                       "min_pmf_cache_hit_rate": {bad}}}]}}"#
             );
             assert!(Floors::from_json(&text).is_err(), "{bad}");

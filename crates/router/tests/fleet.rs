@@ -356,6 +356,34 @@ fn bulk_quotes_reassemble_across_backends_in_input_order() {
     fleet.teardown();
 }
 
+/// The router parses `POST /campaigns` and bulk bodies itself, with the
+/// depth-capped parser: 1 MB of `[` is a 400 there, and the router
+/// stays up to create and solve the next campaign.
+#[test]
+fn deeply_nested_bodies_are_400s_at_the_router() {
+    let fleet = Fleet::spawn(1);
+    let addr = fleet.addr();
+
+    let body = "[".repeat(1 << 20);
+    for path in ["/campaigns", "/campaigns/quotes"] {
+        let (status, reply) = request(addr, "POST", path, Some(&body));
+        assert_eq!(status, 400, "{path}: {reply:?}");
+        assert_eq!(text(&reply, "error"), "bad_request");
+    }
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    let ids = seed_campaigns(addr, 1);
+    let (status, reply) = request(
+        addr,
+        "GET",
+        &format!("/campaigns/{}/price?remaining=10&interval=0", ids[0]),
+        None,
+    );
+    assert_eq!(status, 200, "{reply:?}");
+
+    fleet.teardown();
+}
+
 #[test]
 fn killed_node_fails_over_from_checkpoints() {
     let fleet = Fleet::spawn(3);

@@ -1,20 +1,20 @@
-//! The multi-campaign pricing service: solve a heterogeneous batch of
-//! campaigns concurrently, then serve reprice queries from the cache.
+//! The multi-campaign pricing service: register a heterogeneous batch
+//! of campaigns, solve them concurrently, then serve reprice queries
+//! from their live policy generations.
 //!
 //! ```text
 //! cargo run --release --example pricing_service
 //! ```
 
-use finish_them::core::{CampaignSpec, ObservedState, PricingService};
+use finish_them::core::{CampaignRegistry, CampaignSpec, ObservedState};
 use finish_them::prelude::*;
 
 fn main() {
-    let service = PricingService::new();
+    let registry = CampaignRegistry::new();
 
     // Three deadline campaigns of different sizes/horizons plus one
-    // fixed-budget campaign, submitted as one batch.
+    // fixed-budget campaign, solved as one batch.
     let acc = LogitAcceptance::paper_eq13();
-    let mut batch = Vec::new();
     for (id, (n_tasks, hours)) in [(200u32, 24.0f64), (500, 12.0), (1000, 48.0)]
         .into_iter()
         .enumerate()
@@ -28,9 +28,9 @@ fn main() {
             &acc,
             PenaltyModel::Linear { per_task: 1000.0 },
         );
-        batch.push((id as u64, CampaignSpec::Deadline { problem, eps: None }));
+        registry.register_at(id as u64, CampaignSpec::Deadline { problem, eps: None });
     }
-    batch.push((
+    registry.register_at(
         99,
         CampaignSpec::Budget {
             problem: BudgetProblem::new(
@@ -40,44 +40,46 @@ fn main() {
                 5100.0,
             ),
         },
-    ));
+    );
 
     let t0 = std::time::Instant::now();
-    let results = service.solve_batch(batch);
+    let results = registry.solve_many(&[0, 1, 2, 99]);
     println!(
         "solved {} campaigns in {:.1} ms ({} cached)\n",
         results.len(),
         t0.elapsed().as_secs_f64() * 1e3,
-        service.len()
+        registry.len()
     );
 
     // Reprice some live states: on plan, behind plan, and a budget
     // campaign that has overspent its plan.
     println!("campaign 0 (200 tasks / 24 h): deadline repricing");
     for (remaining, interval) in [(200u32, 0usize), (150, 24), (150, 60), (10, 70)] {
-        let price = service
-            .reprice(
+        let price = registry
+            .quote(
                 0,
                 ObservedState::Deadline {
                     remaining,
                     interval,
                 },
             )
-            .unwrap();
+            .unwrap()
+            .price;
         println!("  {remaining:>4} tasks left at interval {interval:>2} → post {price:>2} cents");
     }
 
     println!("campaign 99 (200 tasks / 2500 cents): budget repricing");
     for (remaining, cents) in [(200u32, 2500usize), (100, 1100), (40, 420), (10, 500)] {
-        let price = service
-            .reprice(
+        let price = registry
+            .quote(
                 99,
                 ObservedState::Budget {
                     remaining,
                     budget_cents: cents,
                 },
             )
-            .unwrap();
+            .unwrap()
+            .price;
         println!("  {remaining:>4} tasks left, {cents:>4}¢ unspent → post {price:>2} cents");
     }
 
@@ -86,15 +88,16 @@ fn main() {
     let queries = 1_000_000u32;
     let mut acc_price = 0.0;
     for i in 0..queries {
-        acc_price += service
-            .reprice(
+        acc_price += registry
+            .quote(
                 0,
                 ObservedState::Deadline {
                     remaining: 1 + i % 200,
                     interval: (i % 72) as usize,
                 },
             )
-            .unwrap();
+            .unwrap()
+            .price;
     }
     let dt = t0.elapsed().as_secs_f64();
     println!(

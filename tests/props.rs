@@ -116,44 +116,40 @@ fn budget_solvers_agree_on_varied_problems() {
     }
 }
 
-/// The pricing service must serve exactly the prices the standalone
+/// The campaign registry must serve exactly the prices the standalone
 /// solvers would compute, for a heterogeneous batch.
 #[test]
 fn service_matches_standalone_solvers() {
-    use finish_them::core::{CampaignSpec, ObservedState, PricingService};
-    let service = PricingService::new();
-    let mut batch: Vec<(u64, CampaignSpec)> = varied_problems()
-        .into_iter()
-        .enumerate()
-        .map(|(i, problem)| {
-            (
-                i as u64,
-                CampaignSpec::Deadline {
-                    problem,
-                    eps: Some(1e-9),
-                },
-            )
-        })
-        .collect();
-    for (j, problem) in varied_budget_problems().into_iter().enumerate() {
-        batch.push((1000 + j as u64, CampaignSpec::Budget { problem }));
+    use finish_them::core::{CampaignRegistry, CampaignSpec, ObservedState};
+    let registry = CampaignRegistry::new();
+    let mut ids = Vec::new();
+    for (i, problem) in varied_problems().into_iter().enumerate() {
+        let spec = CampaignSpec::Deadline {
+            problem,
+            eps: Some(1e-9),
+        };
+        registry.register_at(i as u64, spec);
+        ids.push(i as u64);
     }
-    for (id, result) in service.solve_batch(batch) {
+    for (j, problem) in varied_budget_problems().into_iter().enumerate() {
+        registry.register_at(1000 + j as u64, CampaignSpec::Budget { problem });
+        ids.push(1000 + j as u64);
+    }
+    for (id, result) in registry.solve_many(&ids) {
         result.unwrap_or_else(|e| panic!("campaign {id} failed: {e}"));
     }
+    let price = |id: u64, state: ObservedState| registry.quote(id, state).unwrap().price;
     for (i, problem) in varied_problems().into_iter().enumerate() {
         let direct = solve_efficient(&problem, 1e-9).unwrap();
         for t in 0..problem.n_intervals() {
             for n in 1..=problem.n_tasks {
-                let got = service
-                    .reprice(
-                        i as u64,
-                        ObservedState::Deadline {
-                            remaining: n,
-                            interval: t,
-                        },
-                    )
-                    .unwrap();
+                let got = price(
+                    i as u64,
+                    ObservedState::Deadline {
+                        remaining: n,
+                        interval: t,
+                    },
+                );
                 assert_eq!(got, direct.price(n, t), "campaign {i} at (n={n}, t={t})");
             }
         }
@@ -161,15 +157,13 @@ fn service_matches_standalone_solvers() {
     for (j, problem) in varied_budget_problems().into_iter().enumerate() {
         let direct = solve_budget_mdp(&problem).unwrap();
         let b = problem.budget.floor() as usize;
-        let got = service
-            .reprice(
-                1000 + j as u64,
-                ObservedState::Budget {
-                    remaining: problem.n_tasks,
-                    budget_cents: b,
-                },
-            )
-            .unwrap();
+        let got = price(
+            1000 + j as u64,
+            ObservedState::Budget {
+                remaining: problem.n_tasks,
+                budget_cents: b,
+            },
+        );
         assert_eq!(got, f64::from(direct.price(problem.n_tasks, b).unwrap()));
     }
 }
