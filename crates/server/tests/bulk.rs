@@ -221,3 +221,28 @@ fn bulk_observations_batch_telemetry_reports() {
     handle.shutdown();
     join.join().expect("server thread");
 }
+
+#[test]
+fn negative_counts_are_400s_not_saturated_to_zero() {
+    let (addr, deadline_id, _, handle, join) = serve_two_kinds();
+
+    let body = format!("{{\"quotes\":[{{\"id\":{deadline_id},\"remaining\":-3,\"interval\":0}}]}}");
+    let (status, reply) = request(addr, "POST", "/campaigns/quotes", Some(&body));
+    assert_eq!(status, 400, "{reply:?}");
+    assert!(
+        text(&reply, "message").contains("item 0"),
+        "400 does not name the item: {reply:?}"
+    );
+
+    let (status, reply) = request(
+        addr,
+        "POST",
+        &format!("/campaigns/{deadline_id}/observations"),
+        Some("{\"interval\":0,\"completions\":-5}"),
+    );
+    assert_eq!(status, 400, "{reply:?}");
+    assert!(text(&reply, "message").contains("completions"), "{reply:?}");
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
