@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use store::{lock_state, lock_state_fresh, Campaign, ShardedStore};
+use store::{lock_state, Campaign, ShardedStore};
 
 /// Truncation mass used when a deadline campaign doesn't specify one.
 pub const DEFAULT_EPS: f64 = 1e-9;
@@ -635,90 +635,6 @@ impl CampaignRegistry {
         }
     }
 
-    /// Register (or replace) the campaign at `id` and solve it *before*
-    /// swapping it in: when `id` already serves a policy, readers keep
-    /// answering from the old generation until the new solve succeeds
-    /// (one atomic map swap), and a failed solve leaves the existing
-    /// record untouched. A previously unknown id is left registered as a
-    /// draft on failure so the rejection stays inspectable.
-    pub fn submit_at(
-        &self,
-        id: CampaignId,
-        spec: CampaignSpec,
-        cfg: &KernelConfig,
-    ) -> Result<Arc<PolicyGeneration>> {
-        self.bump_next_id(id + 1);
-        let started = Instant::now();
-        // No lock is held here: submit solves before touching the
-        // store, so admission is trivially scheduler-first.
-        let ticket = self.scheduler.admit();
-        let ctx = SolveContext::with_wave(*cfg, &ticket);
-        let solved = self.solve_spec(&spec, &ctx);
-        self.telemetry.solve_ns.record_duration(started.elapsed());
-        match solved {
-            Ok((engine, policy, start)) => {
-                self.telemetry.solves.inc();
-                let campaign = Arc::new(Campaign::new(spec, self.store.stats_for(id)));
-                lock_state(&campaign).engine = Some(engine);
-                let policy = Arc::new(policy);
-                // Swap the record in with a generation that continues
-                // the old record's numbering. `with_entry` provides the
-                // consistent view — the old record's writer mutex plus
-                // the shard map write guard, acquired in that order —
-                // so the old generation is read race-free without ever
-                // waiting on a writer mutex while holding a map lock
-                // (a recalibration can run for a whole solve, and the
-                // quote hot path must keep draining behind the map).
-                let published = self.store.with_entry(id, |entry, map| {
-                    let generation = match entry {
-                        Some((old, old_state)) => {
-                            let generation = old.generation().map_or(1, |g| g.generation + 1);
-                            // Retire the old record so detached handles
-                            // can't serve or bump generations after the
-                            // swap (and its solver machinery frees now,
-                            // not when the last stale Arc drops). It
-                            // leaves the map: uncount it first so the
-                            // eviction below doesn't touch counters.
-                            old.uncount(old_state);
-                            old_state.engine = None;
-                            *old.live.write().expect("campaign generation lock poisoned") = None;
-                            old.transition(old_state, CampaignStatus::Evicted);
-                            generation
-                        }
-                        None => 1,
-                    };
-                    self.telemetry.generation_swaps.inc();
-                    campaign.publish(generation, start, Arc::clone(&policy));
-                    {
-                        // The new record is not yet shared: its mutex
-                        // cannot block, and the acquisition is the
-                        // untraced fresh-record exception to the
-                        // campaign→shard lock order (we hold the map
-                        // write guard here).
-                        let mut state = lock_state_fresh(&campaign);
-                        campaign.transition(&state, CampaignStatus::Live);
-                        campaign.count(&mut state);
-                    }
-                    // Read the published generation back *before*
-                    // releasing the map lock — once other threads can
-                    // see the record, a racing submit may already have
-                    // retired it again.
-                    let published = campaign.generation().expect("just published");
-                    map.insert(id, Arc::clone(&campaign));
-                    published
-                });
-                Ok(published)
-            }
-            Err(e) => {
-                self.telemetry.solve_errors.inc();
-                if self.store.get(id).is_none() {
-                    self.insert_draft(id, spec);
-                }
-                Err(e)
-            }
-        }
-    }
-
     /// Solve a batch of draft campaigns concurrently, dividing the worker
     /// budget between batch-level and kernel-level parallelism. Returns
     /// per-campaign results in input order; failures don't fail the
@@ -787,7 +703,7 @@ impl CampaignRegistry {
         match campaign.generation() {
             Some(current) => Ok(current),
             None => {
-                // A replacement (`submit_at`) retires the old record
+                // A replacement (`restore_json`) retires the old record
                 // under the shard write lock before swapping the new
                 // one in; a reader that fetched the old handle just
                 // before the swap re-fetches once and lands on the

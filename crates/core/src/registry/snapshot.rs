@@ -254,10 +254,10 @@ impl CampaignRegistry {
 
     /// Restore every campaign in a snapshot document **into this
     /// registry**, replacing any records already at those ids (readers
-    /// mid-flight on a replaced id re-resolve onto the new record, as
-    /// with `submit_at`). Campaigns resume at their exact persisted
-    /// generation; the id dispenser advances past the document's.
-    /// Returns the restored ids — the receiving side of a
+    /// mid-flight on a replaced id re-resolve onto the new record).
+    /// Campaigns resume at their exact persisted generation; the id
+    /// dispenser advances past the document's. Returns the restored
+    /// ids — the receiving side of a
     /// drain → snapshot → restore → flip migration.
     pub fn restore_json(&self, json: &str) -> Result<Vec<u64>> {
         let snapshot = Self::parse_snapshot(json)?;

@@ -29,9 +29,8 @@
 //!   counted record between status buckets;
 //! - map membership changes go through [`ShardedStore::with_entry`],
 //!   which establishes the lock order **campaign writer mutex → shard
-//!   map write lock** (the same order `submit_at` has always used, so a
-//!   replacement can read the outgoing record's generation without ever
-//!   blocking the quote path behind a solve).
+//!   map write lock**, so a replacement can retire the outgoing record
+//!   without ever blocking the quote path behind a solve.
 
 use super::engine::CampaignEngine;
 use super::{CampaignPolicy, CampaignSpec, CampaignStatus, PolicyGeneration};
@@ -284,8 +283,8 @@ impl ShardedStore {
     /// step: the outgoing record is uncounted **and retired** (engine
     /// dropped, generation cleared, status Evicted) so detached handles
     /// fetched just before the swap can't keep serving or mutating an
-    /// orphan — the same guard `submit_at` applies. The incoming record
-    /// is counted. Returns the replaced record, if any.
+    /// orphan. The incoming record is counted. Returns the replaced
+    /// record, if any.
     pub fn insert(&self, id: CampaignId, campaign: Arc<Campaign>) -> Option<Arc<Campaign>> {
         self.with_entry(id, |entry, map| {
             if let Some((old, old_state)) = entry {

@@ -725,66 +725,6 @@ fn invalid_wire_specs_are_structured_errors_not_panics() {
 }
 
 #[test]
-fn failed_resolve_keeps_previous_policy_serving() {
-    // Re-solving a live campaign through submit_at must not leave a
-    // window (or a permanent hole) where readers lose the old
-    // policy: a failed replacement keeps the previous generation, a
-    // successful one bumps it.
-    let registry = CampaignRegistry::new();
-    let id = 42;
-    registry
-        .submit_at(id, deadline_spec(), &KernelConfig::default())
-        .unwrap();
-    let probe = ObservedState::Deadline {
-        remaining: 20,
-        interval: 0,
-    };
-    let before = registry.quote(id, probe).unwrap();
-    assert_eq!(before.generation, 1);
-
-    // A failing replacement spec: the old policy keeps serving.
-    let mut infeasible = tiny_budget_problem();
-    infeasible.budget = 4.0;
-    let err = registry
-        .submit_at(
-            id,
-            CampaignSpec::Budget {
-                problem: infeasible,
-            },
-            &KernelConfig::default(),
-        )
-        .unwrap_err();
-    assert!(matches!(err, PricingError::Infeasible(_)));
-    let after = registry.quote(id, probe).unwrap();
-    assert_eq!(after.generation, before.generation);
-    assert_eq!(after.price.to_bits(), before.price.to_bits());
-    assert_eq!(registry.report(id).unwrap().status, CampaignStatus::Live);
-
-    // A successful replacement swaps in atomically at generation 2.
-    let replaced = registry
-        .submit_at(id, deadline_spec(), &KernelConfig::default())
-        .unwrap();
-    assert_eq!(replaced.generation, 2);
-    assert_eq!(registry.quote(id, probe).unwrap().generation, 2);
-
-    // A brand-new id whose solve fails is left as an inspectable draft.
-    let mut infeasible = tiny_budget_problem();
-    infeasible.budget = 4.0;
-    assert!(registry
-        .submit_at(
-            7,
-            CampaignSpec::Budget {
-                problem: infeasible,
-            },
-            &KernelConfig::default(),
-        )
-        .is_err());
-    assert_eq!(registry.report(7).unwrap().status, CampaignStatus::Draft);
-    // Replacements kept the counters exactly in step with the map.
-    assert_eq!(registry.total_records(), registry.ids().len());
-}
-
-#[test]
 fn budget_spend_accounting_saturates() {
     let registry = CampaignRegistry::new();
     let id = registry.register(CampaignSpec::Budget {
@@ -804,120 +744,6 @@ fn budget_spend_accounting_saturates() {
         CampaignRegistry::from_json(&json, KernelConfig::default(), AdaptiveOptions::default())
             .unwrap();
     assert_eq!(restored.report(id).unwrap().spent_cents.unwrap(), spent);
-}
-
-/// Replacing a live campaign (submit_at) races recalibrating
-/// observes and other submits: the served generation must stay
-/// monotone and each generation must map to exactly one price.
-#[test]
-fn concurrent_submit_keeps_generations_monotone() {
-    use std::collections::HashMap as StdHashMap;
-
-    let registry = CampaignRegistry::with_config(
-        KernelConfig::default(),
-        AdaptiveOptions {
-            resolve_every: 1,
-            ..AdaptiveOptions::default()
-        },
-    );
-    let id = 5;
-    registry
-        .submit_at(id, deadline_spec(), &KernelConfig::default())
-        .unwrap();
-    let stop = AtomicBool::new(false);
-    let start = std::sync::Barrier::new(4);
-    let probe = ObservedState::Deadline {
-        remaining: 15,
-        interval: 4,
-    };
-
-    std::thread::scope(|scope| {
-        let registry = &registry;
-        let stop = &stop;
-        let start = &start;
-
-        // Two racing submitters re-solving the same id.
-        let submitters: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(move || {
-                    start.wait();
-                    for _ in 0..3 {
-                        registry
-                            .submit_at(id, deadline_spec(), &KernelConfig::default())
-                            .unwrap();
-                    }
-                    stop.store(true, Ordering::Release);
-                })
-            })
-            .collect();
-
-        // An observer driving recalibration swaps on whatever
-        // record is current (replaced records answer NotServable —
-        // that's fine, only successful swaps matter here).
-        let observer = scope.spawn(move || {
-            start.wait();
-            let mut interval = 0usize;
-            loop {
-                let _ = registry.observe(
-                    id,
-                    CampaignObservation::Deadline {
-                        interval,
-                        completions: 1,
-                        posted: None,
-                    },
-                );
-                interval = (interval + 1) % 12;
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-        });
-
-        // Reader: generations never go backwards, and a generation
-        // never serves two different prices.
-        let reader = scope.spawn(move || {
-            start.wait();
-            let mut last_generation = 0u64;
-            let mut seen: StdHashMap<u64, f64> = StdHashMap::new();
-            loop {
-                let quote = registry.quote(id, probe).unwrap();
-                assert!(
-                    quote.generation >= last_generation,
-                    "generation went backwards: {} after {last_generation}",
-                    quote.generation
-                );
-                last_generation = quote.generation;
-                match seen.get(&quote.generation) {
-                    None => {
-                        seen.insert(quote.generation, quote.price);
-                    }
-                    Some(&price) => assert_eq!(
-                        price.to_bits(),
-                        quote.price.to_bits(),
-                        "generation {} served two prices",
-                        quote.generation
-                    ),
-                }
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            last_generation
-        });
-
-        for submitter in submitters {
-            submitter.join().unwrap();
-        }
-        observer.join().unwrap();
-        let last = reader.join().unwrap();
-        // 1 initial + 6 replacements happened; the reader must have
-        // ended at least at the replacements' floor.
-        assert!(last >= 1);
-        assert!(
-            registry.generation(id).unwrap().generation >= 7,
-            "six replacements must have bumped the generation"
-        );
-    });
 }
 
 /// Satellite: readers hammer the quote hot path while observes drive

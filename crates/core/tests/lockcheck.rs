@@ -208,10 +208,10 @@ fn registry_lifecycle_runs_clean_under_the_witness() {
             },
         )
         .expect("observe");
-    // Replacement exercises with_entry's campaign→map write path.
-    registry
-        .submit_at(id, deadline_spec(), &ft_core::KernelConfig::default())
-        .expect("replace");
+    // Replacement exercises with_entry's campaign→map write path, and
+    // the fresh-record exception for the not-yet-published record.
+    let doc = registry.campaign_to_json(id).expect("snapshot");
+    registry.restore_json(&doc).expect("replace");
     assert!(registry.evict(id));
     assert!(registry.purge(id));
     assert_eq!(

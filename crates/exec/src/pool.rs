@@ -295,7 +295,7 @@ struct Shared {
     /// Jobs currently sitting in worker deques (not the injector). The
     /// parking protocol's "is there anything to steal?" hint: a worker
     /// only parks after observing `pending == 0` *after* registering as
-    /// a sleeper (see `worker_loop` and `wake_one`).
+    /// a sleeper (see `run_worker` and `wake_one`).
     pending: AtomicU64,
     /// Workers currently parked (or committing to park) on the condvar.
     sleepers: AtomicUsize,
@@ -476,7 +476,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ft-exec-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || run_worker(&shared, i))
                     .expect("ft-exec: failed to spawn pool worker")
             })
             .collect();
@@ -738,7 +738,7 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, me: usize) {
+fn run_worker(shared: &Arc<Shared>, me: usize) {
     WORKER.with(|w| w.set(Some((Arc::as_ptr(shared) as usize, me))));
     loop {
         // 1. Own deque, newest first — the cache-hot end.

@@ -25,8 +25,9 @@ pub struct SocketExtras {
     pub crosscheck: Option<CrosscheckOutcome>,
     /// Trace resolution check: every id this client tagged (within the
     /// retained window) must come back from `GET /trace/{id}` as a
-    /// well-formed span tree. `None` for an external target (it may be
-    /// a `trace-off` build).
+    /// well-formed span tree. `None` for an external target (its
+    /// bounded trace store is shared with other clients, so this
+    /// client's ids may already be evicted).
     pub trace: Option<TraceCheckOutcome>,
     /// The server's Chrome trace-event dump (`GET /trace/export`),
     /// captured before shutdown so `--trace-out` can write it. `None`

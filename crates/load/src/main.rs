@@ -162,7 +162,7 @@ fn parse_args() -> Result<Args, String> {
     if trace_out.is_some() && target.is_some() {
         return Err(
             "--trace-out needs a spawned server (it cannot be combined with --target, \
-                    which may point at a trace-off build)"
+                    whose trace store also holds other clients' traces)"
                 .into(),
         );
     }

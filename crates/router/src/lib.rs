@@ -20,8 +20,11 @@
 //!   owner and reassemble in input order; `x-ft-trace` ids propagate
 //!   end to end and `GET /trace/{id}` stitches the per-process span
 //!   trees into one tree.
-//! - **Serving** ([`server`]): the backend tier's blocking keep-alive
-//!   loop, one backend connection set per worker thread.
+//! - **Serving** ([`server`]): the node's epoll reactor
+//!   ([`ft_server::serve`]) with the [`Fleet`] as its service — the
+//!   same parser, idle deadlines and `503 server_busy` overload
+//!   contract as a node — and one backend connection set per worker
+//!   thread.
 //!
 //! The router adds two routes of its own: `GET /fleet` (membership
 //! rows) and `POST /fleet/drain?node=N` (planned migration). Node

@@ -1,32 +1,32 @@
-//! The router's serving loop.
+//! The router's serving loop: `ft-server`'s epoll reactor, serving the
+//! [`Fleet`].
 //!
-//! Same shape as the backend tier's blocking server, sized for a front
-//! tier: a small pool of acceptor/worker threads share the listener
-//! (`accept` is thread-safe on every platform we target), and each
-//! worker owns one keep-alive [`Connections`] set to the backends —
-//! so backend connection state is per-thread and needs no locking.
-//! Shutdown is the codebase's poke idiom: flip an `AtomicBool`, then
-//! connect once per worker so every blocked `accept` call returns.
+//! One reactor thread multiplexes every client connection and hands
+//! parsed requests to `workers` handler threads, exactly as on a node:
+//! the same parser, deadlines and overload contract (`503 server_busy`
+//! past `workers + queue_depth` requests in flight). Each worker owns
+//! one keep-alive [`Connections`] set to the backends, so backend
+//! connection state is per-thread and needs no locking. Shutdown is the
+//! node's idiom: flip an `AtomicBool`, then connect once to wake the
+//! reactor.
 
 use crate::fleet::Fleet;
 use crate::proxy::{self, Connections};
-use ft_server::http::{read_request, write_response, Response};
-use std::io::{self, BufReader};
+use ft_server::http::{Request, Response};
+use ft_server::{ServerConfig, Service, TierTelemetry};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Acceptor/worker threads. Each holds one keep-alive connection
-    /// per backend, so the fleet sees at most `workers × nodes`
-    /// proxy connections.
+    /// Handler threads. Each holds one keep-alive connection per
+    /// backend, so the fleet sees at most `workers × nodes` proxy
+    /// connections.
     pub workers: usize,
     /// Virtual points per node on the placement ring.
     pub replicas: usize,
-    /// Idle client connections are dropped after this long.
-    pub keep_alive_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -34,8 +34,24 @@ impl Default for RouterConfig {
         Self {
             workers: 16,
             replicas: crate::ring::DEFAULT_REPLICAS,
-            keep_alive_timeout: Duration::from_secs(5),
         }
+    }
+}
+
+impl Service for Fleet {
+    type Worker = Connections;
+    const ROOT_SPAN: &'static str = "router.request.serve";
+
+    fn worker(&self) -> Connections {
+        Connections::new(self.backends())
+    }
+
+    fn handle(&self, conns: &mut Connections, request: &Request) -> Response {
+        proxy::handle(self, conns, request)
+    }
+
+    fn tier(&self) -> &TierTelemetry {
+        &self.telemetry.tier
     }
 }
 
@@ -52,7 +68,6 @@ pub struct RouterHandle {
     addr: SocketAddr,
     fleet: Arc<Fleet>,
     stop: Arc<AtomicBool>,
-    workers: usize,
 }
 
 impl RouterHandle {
@@ -64,15 +79,13 @@ impl RouterHandle {
         &self.fleet
     }
 
-    /// Stop accepting and unblock every worker. Idempotent.
+    /// Stop accepting and wake the reactor. Idempotent.
     pub fn shutdown(&self) {
         // ORDERING: Release pairs with the Acquire loads in
-        // `worker_loop` — a worker that observes the stop flag also
-        // observes everything settled before shutdown was requested.
+        // `ft_server::serve` — the reactor and its workers observe
+        // everything settled before shutdown was requested.
         self.stop.store(true, Ordering::Release);
-        for _ in 0..self.workers {
-            let _ = TcpStream::connect(self.addr);
-        }
+        let _ = TcpStream::connect(self.addr);
     }
 }
 
@@ -98,100 +111,29 @@ impl Router {
     }
 
     /// Serve until [`RouterHandle::shutdown`]; returns the handle and
-    /// a join handle that resolves once every worker has exited.
+    /// a join handle that resolves once the reactor has drained.
     pub fn spawn(self) -> io::Result<(RouterHandle, std::thread::JoinHandle<()>)> {
         let stop = Arc::new(AtomicBool::new(false));
-        let workers = self.config.workers.max(1);
-        let mut joins = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let listener = self.listener.try_clone()?;
-            let fleet = Arc::clone(&self.fleet);
-            let stop = Arc::clone(&stop);
-            let config = self.config.clone();
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("ft-router-{worker}"))
-                    .spawn(move || worker_loop(&listener, &fleet, &stop, &config))?,
-            );
-        }
         let handle = RouterHandle {
             addr: self.addr,
             fleet: Arc::clone(&self.fleet),
-            stop,
-            workers,
+            stop: Arc::clone(&stop),
         };
-        let join = std::thread::spawn(move || {
-            for j in joins {
-                let _ = j.join();
-            }
-        });
+        let config = ServerConfig {
+            workers: self.config.workers,
+            ..ServerConfig::default()
+        };
+        let join = std::thread::Builder::new()
+            .name("ft-router".into())
+            .spawn(move || ft_server::serve(self.listener, &*self.fleet, config, &stop))?;
         Ok((handle, join))
     }
 
-    /// Serve on the calling thread (the binary's entry point).
+    /// Serve until the process exits, blocking the calling thread (the
+    /// binary's entry point).
     pub fn serve(self) -> io::Result<()> {
         let (_, join) = self.spawn()?;
         join.join()
-            .map_err(|_| io::Error::other("router worker panicked"))
-    }
-}
-
-fn worker_loop(
-    listener: &TcpListener,
-    fleet: &Arc<Fleet>,
-    stop: &Arc<AtomicBool>,
-    config: &RouterConfig,
-) {
-    let mut conns = Connections::new(fleet.backends());
-    loop {
-        // ORDERING: Acquire pairs with the Release store in
-        // `RouterHandle::shutdown`.
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        // ORDERING: Acquire pairs with the Release store in
-        // `RouterHandle::shutdown` — re-checked after accept so the
-        // unblocking connection it makes is not served as traffic.
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        serve_connection(stream, fleet, &mut conns, config);
-    }
-}
-
-/// One client connection: keep-alive request loop until the client
-/// closes, errors, times out, or asks to close.
-fn serve_connection(
-    stream: TcpStream,
-    fleet: &Arc<Fleet>,
-    conns: &mut Connections,
-    config: &RouterConfig,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.keep_alive_timeout));
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e) => {
-                // Malformed request: answer a parse diagnostic once
-                // (timeouts and resets just drop), then close.
-                if e.kind() == io::ErrorKind::InvalidData {
-                    let response = Response::text(400, format!("bad request: {e}\n"));
-                    let _ = write_response(reader.get_mut(), &response, false);
-                }
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive;
-        let response = proxy::handle(fleet, conns, &request);
-        if write_response(reader.get_mut(), &response, keep_alive).is_err() || !keep_alive {
-            return;
-        }
+            .map_err(|_| io::Error::other("router reactor panicked"))
     }
 }

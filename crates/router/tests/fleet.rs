@@ -1,8 +1,8 @@
 //! End-to-end fleet behaviour over real sockets: a router fronting
 //! three `ft-server` nodes must answer like one node — through planned
 //! migration (exact generation preserved), mid-flip reads (quotes
-//! never 404), and cross-backend bulk reassembly (input order, inline
-//! errors).
+//! never 404), cross-backend bulk reassembly (input order, inline
+//! errors), and clients that trickle bytes.
 
 use ft_core::adaptive::AdaptiveOptions;
 use ft_core::registry::CampaignRegistry;
@@ -11,9 +11,11 @@ use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
 use ft_router::{Router, RouterConfig, RouterHandle};
 use ft_server::{Server, ServerHandle};
 use serde::{map_get, Serialize, Value};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Value) {
     let (status, body) = ft_server::client::request(addr, method, path, body).expect("request");
@@ -412,5 +414,76 @@ fn killed_node_fails_over_from_checkpoints() {
     let (_, body) = request(addr, "GET", "/healthz", None);
     assert_eq!(num(&body, "nodes_alive"), 2.0);
 
+    fleet.teardown();
+}
+
+/// Write `raw` on a fresh connection and read until the server closes
+/// it; returns the status and the whole response text. Panics if no
+/// answer arrives within 3 s.
+fn exchange(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout");
+    stream.write_all(raw).expect("write");
+    let mut text = String::new();
+    stream
+        .read_to_string(&mut text)
+        .unwrap_or_else(|e| panic!("no answer to {:?}: {e}", String::from_utf8_lossy(raw)));
+    let status = text
+        .get(9..12)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("not an HTTP response: {text:?}"));
+    (status, text)
+}
+
+/// A client that trickles a request holds a file descriptor at the
+/// router, not a worker: with as many tricklers as workers, `/healthz`
+/// is still answered at once, and a malformed request gets the node's
+/// JSON 400.
+#[test]
+fn trickling_clients_do_not_wedge_the_router() {
+    let fleet = Fleet::spawn(1); // the router runs 4 workers
+    let addr = fleet.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let tricklers: Vec<_> = (0..4)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect trickler");
+                // A request line, then a header that never ends.
+                let bytes = b"GET /healthz HTTP/1.1\r\nX-Slow: "
+                    .iter()
+                    .chain(std::iter::repeat(&b'a'));
+                for &byte in bytes {
+                    if stop.load(Ordering::Acquire) || stream.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+            })
+        })
+        .collect();
+    // Every trickler is connected and has sent a few bytes.
+    std::thread::sleep(Duration::from_millis(600));
+
+    for probe in 0..3 {
+        let started = Instant::now();
+        let (status, text) = exchange(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert_eq!(status, 200, "probe {probe}: {text}");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "probe {probe} took {:?} behind the tricklers",
+            started.elapsed()
+        );
+    }
+    let (status, text) = exchange(addr, b"nope\r\n\r\n");
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("\"error\":\"bad_request\""), "{text}");
+
+    stop.store(true, Ordering::Release);
+    for trickler in tricklers {
+        trickler.join().expect("trickler");
+    }
     fleet.teardown();
 }

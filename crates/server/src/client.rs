@@ -35,7 +35,7 @@ pub fn request(
     );
     let written = stream.write_all(request.as_bytes());
     // A server may answer-and-close before reading the whole request
-    // (e.g. an over-capacity 503 from the acceptor): the write fails
+    // (e.g. an over-capacity 503 from the reactor): the write fails
     // with EPIPE but a complete response is still waiting to be read.
     if let Err(e) = written {
         if !matches!(

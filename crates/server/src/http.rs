@@ -3,7 +3,7 @@
 //! bodies in, status + JSON bodies out, with keep-alive. No chunked
 //! transfer, no TLS, no percent-decoding beyond `%XX` in query values.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Upper bounds keeping a misbehaving client from ballooning memory.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -81,102 +81,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read one `\n`-terminated line without ever buffering more than the
-/// remaining header `budget` — `read_line` on a raw stream would keep
-/// allocating for a newline that never comes. `Ok(None)` is EOF before
-/// any byte.
-fn read_line_bounded<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<Option<String>> {
-    let mut limited = io::Read::take(reader.by_ref(), *budget as u64);
-    let mut line = String::new();
-    let n = limited.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    *budget -= n;
-    if !line.ends_with('\n') && *budget == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "headers too large",
-        ));
-    }
-    Ok(Some(line))
-}
-
-/// Read one request off the stream. `Ok(None)` means the client closed
-/// the connection cleanly before sending another request.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut budget = MAX_HEADER_BYTES;
-    let Some(line) = read_line_bounded(reader, &mut budget)? else {
-        return Ok(None);
-    };
-    let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v.to_string()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad request line",
-            ))
-        }
-    };
-
-    // Headers: we only act on Content-Length, Connection and
-    // x-ft-trace.
-    let mut content_length = 0usize;
-    // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut trace = None;
-    loop {
-        let Some(header) = read_line_bounded(reader, &mut budget)? else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof in headers",
-            ));
-        };
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
-        } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = !value.eq_ignore_ascii_case("close");
-        } else if name.eq_ignore_ascii_case("x-ft-trace") {
-            // A malformed id is ignored, not a 400: tracing is
-            // best-effort and must never fail a request.
-            trace = ft_trace::parse_trace_id(value);
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    io::Read::read_exact(reader, &mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body not UTF-8"))?;
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target, Vec::new()),
-    };
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        body,
-        keep_alive,
-        trace,
-    }))
-}
-
-/// Incremental request parse over a byte buffer (the reactor's input
-/// path — no blocking reads). Returns:
+/// Incremental request parse over a byte buffer — the one request
+/// parser, fed by the reactor's nonblocking reads. Returns:
 ///
 /// - `Ok(Some((request, consumed)))` — one complete request parsed
 ///   from `buf[..consumed]`; the caller drains that prefix and calls
@@ -184,8 +90,8 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
 /// - `Ok(None)` — the buffer holds only a prefix of a request; read
 ///   more bytes and retry.
 /// - `Err(_)` — the bytes can never become a valid request (bad
-///   request line / content-length, or the same `MAX_HEADER_BYTES` /
-///   `MAX_BODY_BYTES` budgets [`read_request`] enforces).
+///   request line / content-length, a head past `MAX_HEADER_BYTES`
+///   across all its lines, or a body declared past `MAX_BODY_BYTES`).
 pub fn parse_request(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
     // Find the first empty line: headers end there, body starts after.
     let mut line_start = 0usize;
@@ -236,6 +142,8 @@ pub fn parse_request(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
             ))
         }
     };
+    // Headers: we only act on Content-Length, Connection and
+    // x-ft-trace. HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut content_length = 0usize;
     let mut keep_alive = version != "HTTP/1.0";
     let mut trace = None;
@@ -254,7 +162,8 @@ pub fn parse_request(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("x-ft-trace") {
-            // Best-effort, as in `read_request`.
+            // A malformed id is ignored, not a 400: tracing is
+            // best-effort and must never fail a request.
             trace = ft_trace::parse_trace_id(value);
         }
     }
@@ -354,12 +263,12 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parse a buffer holding exactly one complete request.
     fn parse(raw: &str) -> Request {
-        read_request(&mut BufReader::new(raw.as_bytes()))
-            .unwrap()
-            .unwrap()
+        let (request, consumed) = parse_request(raw.as_bytes()).unwrap().unwrap();
+        assert_eq!(consumed, raw.len());
+        request
     }
 
     #[test]
@@ -385,12 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn eof_is_clean_none() {
-        let req = read_request(&mut BufReader::new(&b""[..])).unwrap();
-        assert!(req.is_none());
-    }
-
-    #[test]
     fn response_wire_format() {
         let mut out = Vec::new();
         write_response(&mut out, &Response::json(200, "{}".into()), true).unwrap();
@@ -399,21 +302,6 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
-    }
-
-    #[test]
-    fn rejects_oversized_body_declaration() {
-        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
-        assert!(read_request(&mut BufReader::new(raw.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn newline_less_flood_errors_instead_of_buffering() {
-        // An endless byte stream with no '\n' must hit the header budget
-        // and error — not grow a String until the allocator gives up.
-        let mut reader =
-            BufReader::new(std::io::Read::take(std::io::repeat(b'a'), 64 * 1024 * 1024));
-        assert!(read_request(&mut reader).is_err());
     }
 
     #[test]
@@ -461,20 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_reader() {
-        let raw = "POST /campaigns/3/observations?note=a%20b&x=1 HTTP/1.1\r\n\
-                   Host: localhost\r\nContent-Length: 9\r\n\r\n{\"a\": 1}\n";
-        let blocking = parse(raw);
-        let (incremental, consumed) = parse_request(raw.as_bytes()).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(incremental.method, blocking.method);
-        assert_eq!(incremental.path, blocking.path);
-        assert_eq!(incremental.query, blocking.query);
-        assert_eq!(incremental.body, blocking.body);
-        assert_eq!(incremental.keep_alive, blocking.keep_alive);
-    }
-
-    #[test]
     fn header_budget_spans_all_header_lines() {
         // Many small header lines must exhaust the same budget.
         let mut raw = String::from("GET / HTTP/1.1\r\n");
@@ -482,6 +356,6 @@ mod tests {
             raw.push_str(&format!("X-Filler-{i}: {}\r\n", "v".repeat(64)));
         }
         raw.push_str("\r\n");
-        assert!(read_request(&mut BufReader::new(raw.as_bytes())).is_err());
+        assert!(parse_request(raw.as_bytes()).is_err());
     }
 }

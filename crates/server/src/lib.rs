@@ -24,17 +24,21 @@
 //!
 //! Serving runs on an **epoll reactor** (`reactor.rs`, over the raw
 //! bindings in `sys.rs`): one event-loop thread multiplexes every
-//! connection with nonblocking I/O, parses requests incrementally, and
-//! hands them through a bounded ready-queue to
-//! `ServerConfig::workers` handler threads — so handler execution
-//! stays off the event loop, idle keep-alive connections cost an fd
-//! instead of a thread, and a client may pipeline requests (responses
-//! return in order). When the ready-queue is full further requests
-//! are answered `503 server_busy` instead of growing the thread
-//! count. Every routed request is recorded into the shared
-//! `ft-metrics` plane (per-endpoint counts, latency histograms,
-//! status classes, connection accounting, ready-queue wait), which
-//! `GET /metrics` exports alongside the registry's own instruments.
+//! connection with nonblocking I/O, parses requests incrementally
+//! ([`http::parse_request`], the only request parser), and hands them
+//! through a bounded ready-queue to `ServerConfig::workers` handler
+//! threads — so handler execution stays off the event loop, idle
+//! keep-alive connections cost an fd instead of a thread, and a
+//! client may pipeline requests (responses return in order). When the
+//! ready-queue is full further requests are answered `503
+//! server_busy` instead of growing the thread count. The reactor
+//! serves any [`Service`] through [`serve`]: the node's [`AppState`],
+//! and `ft-router`'s fleet, so both tiers share one event loop, one
+//! parser and one overload contract. Every routed request is recorded
+//! into the shared `ft-metrics` plane (per-endpoint counts, latency
+//! histograms, status classes, connection accounting, ready-queue
+//! wait), which `GET /metrics` exports alongside the registry's own
+//! instruments.
 //!
 //! Structured [`ft_core::PricingError`]s map onto HTTP statuses
 //! ([`router::status_for`]): unknown campaign → 404, draft/evicted →
@@ -57,6 +61,7 @@ pub mod state;
 mod sys;
 
 pub use client::Client;
+pub use reactor::{serve, Service, TierTelemetry};
 pub use router::{handle, status_for};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::{AppState, Endpoint};

@@ -10,8 +10,12 @@
 //!          ▲                                        │ pop
 //!          │ wake pipe + completions                ▼
 //!          └──────────────────────────────── worker threads
-//!                                             (router::handle)
+//!                                             (Service::handle)
 //! ```
+//!
+//! The loop serves any [`Service`]: the node's [`AppState`] (handler
+//! `router::handle`) and `ft-router`'s fleet (handler `proxy::handle`)
+//! share it, and with it one request parser and one overload contract.
 //!
 //! Per connection the reactor keeps a small state machine: an input
 //! buffer fed to [`crate::http::parse_request`], a sequence counter
@@ -21,8 +25,8 @@
 //! pipeline any number of requests and still read its answers in
 //! order.
 //!
-//! Overload and failure semantics match the old blocking pool exactly:
-//! a parsed request that finds the ready-queue full is answered `503
+//! Overload and failure semantics are the same for every service: a
+//! parsed request that finds the ready-queue full is answered `503
 //! server_busy` (in order!) and the connection closes after the flush;
 //! malformed bytes get a `400` and a close; a connection idle past its
 //! deadline (generous before the first request, short between
@@ -36,6 +40,7 @@ use crate::router;
 use crate::server::ServerConfig;
 use crate::state::AppState;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use ft_metrics::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -44,6 +49,51 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// What the reactor serves: a handler run on the worker threads, plus
+/// the instruments the reactor itself records.
+pub trait Service: Sync {
+    /// Per-worker state, built once on each worker thread (the router
+    /// keeps its backend connections here).
+    type Worker;
+    /// Name of the root span each traced request opens, backdated to
+    /// when the request was parsed.
+    const ROOT_SPAN: &'static str;
+    fn worker(&self) -> Self::Worker;
+    /// Answer one parsed request; runs on a worker thread, never on
+    /// the event loop.
+    fn handle(&self, worker: &mut Self::Worker, request: &Request) -> Response;
+    fn tier(&self) -> &TierTelemetry;
+}
+
+/// The instruments the reactor records for its service, registered
+/// under the service's own metric names.
+pub struct TierTelemetry {
+    pub connections_accepted: Arc<Counter>,
+    /// Connections refused over `max_connections`, plus requests
+    /// answered `503` because the ready-queue was full.
+    pub connections_rejected: Arc<Counter>,
+    pub connections_active: Arc<Gauge>,
+    /// Ready-queue hand-off latency: time from a request being parsed
+    /// on the reactor to a worker picking it up. Separates tier wait
+    /// from handler latency in `/metrics`.
+    pub queue_wait: Arc<Histogram>,
+}
+
+impl Service for AppState {
+    type Worker = ();
+    const ROOT_SPAN: &'static str = "server.request.serve";
+
+    fn worker(&self) {}
+
+    fn handle(&self, _: &mut (), request: &Request) -> Response {
+        router::handle(self, request)
+    }
+
+    fn tier(&self) -> &TierTelemetry {
+        &self.telemetry.tier
+    }
+}
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKE_TOKEN: u64 = 1;
@@ -235,15 +285,16 @@ enum Verdict {
     Drop,
 }
 
-/// Run the serving loop until shutdown. The calling thread becomes the
-/// reactor; `config.workers` handler threads are spawned scoped inside
-/// (total thread count: `1 + workers`, exactly like the old acceptor
-/// pool).
-pub(crate) fn run(
+/// Serve `service` on `listener` until `shutdown` is set (then poke
+/// the listener with one connect so a parked wait notices). The
+/// calling thread becomes the reactor; `config.workers` handler
+/// threads are spawned scoped inside, each building its
+/// [`Service::Worker`] once (total thread count: `1 + workers`).
+pub fn serve<S: Service>(
     listener: TcpListener,
-    state: Arc<AppState>,
+    service: &S,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: &AtomicBool,
 ) {
     let epoll = Epoll::new().expect("epoll_create1");
     listener
@@ -268,14 +319,13 @@ pub(crate) fn run(
     std::thread::scope(|s| {
         for _ in 0..workers {
             let jobs = &jobs;
-            let state = &state;
             let completions = Arc::clone(&completions);
             let wake = Arc::clone(&wake_tx);
-            let closing = &*shutdown;
             s.spawn(move || {
+                let mut worker = service.worker();
                 while let Some(job) = jobs.pop() {
                     let queue_wait = job.queued_at.elapsed();
-                    state.telemetry.queue_wait.record_duration(queue_wait);
+                    service.tier().queue_wait.record_duration(queue_wait);
                     // Trace when the client asked for it (x-ft-trace)
                     // or on the organic 1-in-1024 sample. The root span
                     // is backdated to when the request was parsed, so
@@ -288,20 +338,17 @@ pub(crate) fn run(
                     let dequeued_ns = ft_trace::now_ns();
                     let queued_ns = dequeued_ns
                         .saturating_sub(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
-                    let root = ft_trace::begin_at(
-                        trace_id.unwrap_or(0),
-                        "server.request.serve",
-                        queued_ns,
-                    );
+                    let root = ft_trace::begin_at(trace_id.unwrap_or(0), S::ROOT_SPAN, queued_ns);
                     ft_trace::record("server.reactor.queue_wait", queued_ns, dequeued_ns);
-                    let response = router::handle(state, &job.request);
+                    let response = service.handle(&mut worker, &job.request);
                     drop(root);
                     // During shutdown, answer the request in hand but
                     // decline the keep-alive so the connection closes.
-                    // ORDERING: Acquire pairs with the Release store in
-                    // `ServerHandle::shutdown` — seeing the flag also
+                    // ORDERING: Acquire pairs with the Release store of
+                    // whoever sets `shutdown` (`ServerHandle::shutdown`,
+                    // `RouterHandle::shutdown`) — seeing the flag also
                     // sees any state the shutdown caller settled first.
-                    let keep_alive = job.request.keep_alive && !closing.load(Ordering::Acquire);
+                    let keep_alive = job.request.keep_alive && !shutdown.load(Ordering::Acquire);
                     completions
                         .lock()
                         // Poisoning policy (ft-audit L5): a panicking
@@ -324,7 +371,7 @@ pub(crate) fn run(
         let mut reactor = Reactor {
             epoll: &epoll,
             listener: &listener,
-            state: &state,
+            tier: service.tier(),
             config: &config,
             jobs: &jobs,
             conns: HashMap::new(),
@@ -338,9 +385,9 @@ pub(crate) fn run(
             let n = epoll.wait(&mut events, timeout).unwrap_or_default();
             let now = Instant::now();
 
-            // ORDERING: Acquire pairs with the Release store in
-            // `ServerHandle::shutdown` (cross-crate counterpart of the
-            // worker-side load above).
+            // ORDERING: Acquire pairs with the Release store of whoever
+            // sets `shutdown` (same pairing as the worker-side load
+            // above).
             if shutdown.load(Ordering::Acquire) && !reactor.draining {
                 reactor.begin_drain(now);
                 jobs.close();
@@ -377,7 +424,7 @@ pub(crate) fn run(
 struct Reactor<'a> {
     epoll: &'a Epoll,
     listener: &'a TcpListener,
-    state: &'a AppState,
+    tier: &'a TierTelemetry,
     config: &'a ServerConfig,
     jobs: &'a JobQueue,
     conns: HashMap<u64, Conn>,
@@ -428,9 +475,9 @@ impl Reactor<'_> {
                     break;
                 }
             };
-            self.state.telemetry.connections_accepted.inc();
+            self.tier.connections_accepted.inc();
             if self.conns.len() >= self.config.max_connections {
-                self.state.telemetry.connections_rejected.inc();
+                self.tier.connections_rejected.inc();
                 reject_busy(stream);
                 continue;
             }
@@ -454,7 +501,7 @@ impl Reactor<'_> {
             {
                 continue;
             }
-            self.state.telemetry.connections_active.inc();
+            self.tier.connections_active.inc();
             self.conns.insert(
                 token,
                 Conn::new(stream, now + self.config.first_request_timeout),
@@ -474,7 +521,7 @@ impl Reactor<'_> {
             return;
         }
         if readiness & (EPOLLIN | EPOLLRDHUP) != 0
-            && Self::read_and_parse(conn, token, self.jobs, self.state, self.config, now)
+            && Self::read_and_parse(conn, token, self.jobs, self.tier, self.config, now)
                 == Verdict::Drop
         {
             self.drop_conn(token);
@@ -490,7 +537,7 @@ impl Reactor<'_> {
         conn: &mut Conn,
         token: u64,
         jobs: &JobQueue,
-        state: &AppState,
+        tier: &TierTelemetry,
         config: &ServerConfig,
         now: Instant,
     ) -> Verdict {
@@ -528,7 +575,7 @@ impl Reactor<'_> {
                             // contract answers 503 at this request's
                             // slot and closes the connection after the
                             // in-order flush.
-                            state.telemetry.connections_rejected.inc();
+                            tier.connections_rejected.inc();
                             conn.pending.push((
                                 job.seq,
                                 Outbound {
@@ -681,7 +728,7 @@ impl Reactor<'_> {
     fn drop_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.state.telemetry.connections_active.dec();
+            self.tier.connections_active.dec();
         }
     }
 }

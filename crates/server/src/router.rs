@@ -125,8 +125,8 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
     state
         .telemetry
         .record(endpoint, response.status, started.elapsed(), trace_id);
-    // Echo the trace id even in `trace-off` builds (propagation is a
-    // wire contract; only recording compiles out).
+    // Echo the client's trace id, or the sampled one, so the caller
+    // can fetch the span tree (propagation is a wire contract).
     response.trace = request.trace.or(trace_id);
     drop(root);
     response

@@ -13,7 +13,8 @@
 //! lost. The reactor keeps the same thread count — one event-loop
 //! thread plus `workers` handlers — while idle connections cost a
 //! registered fd, not a thread, and a keep-alive client may pipeline
-//! requests (responses come back in order).
+//! requests (responses come back in order). `ft-router` serves on this
+//! same reactor, as a [`crate::Service`].
 //!
 //! The overload contract is unchanged: in-flight requests are bounded
 //! by `workers + queue_depth`, and a request that finds the
@@ -114,9 +115,10 @@ impl ServerHandle {
     /// Ask the reactor to exit; idempotent. Returns once the flag is
     /// set (the loop notices on its next wakeup).
     pub fn shutdown(&self) {
-        // ORDERING: Release pairs with the Acquire loads in the
-        // reactor loop and its workers — whatever the caller settled
-        // before asking for shutdown is visible to the drain path.
+        // ORDERING: Release pairs with the Acquire loads in
+        // `reactor::serve` and its workers — whatever the caller
+        // settled before asking for shutdown is visible to the drain
+        // path.
         self.shutdown.store(true, Ordering::Release);
         // Poke the listener so a parked epoll_wait wakes up.
         let _ = TcpStream::connect(self.addr);
@@ -170,7 +172,7 @@ impl Server {
     /// flushes in-flight responses, and force-drops stragglers after a
     /// short grace.
     pub fn serve(self) {
-        reactor::run(self.listener, self.state, self.config, self.shutdown);
+        reactor::serve(self.listener, &*self.state, self.config, &self.shutdown);
     }
 
     /// Bind + serve on a background thread; returns the handle and the

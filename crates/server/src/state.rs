@@ -3,8 +3,9 @@
 //! registry reports into (so one `GET /metrics` covers both).
 
 use crate::http::Request;
+use crate::reactor::TierTelemetry;
 use ft_core::registry::CampaignRegistry;
-use ft_metrics::{Counter, Gauge, Histogram};
+use ft_metrics::{Counter, Histogram};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,13 +136,9 @@ pub struct ServerTelemetry {
     class_2xx: Arc<Counter>,
     class_4xx: Arc<Counter>,
     class_5xx: Arc<Counter>,
-    pub connections_accepted: Arc<Counter>,
-    pub connections_rejected: Arc<Counter>,
-    pub connections_active: Arc<Gauge>,
-    /// Ready-queue hand-off latency: time from a request being parsed
-    /// on the reactor to a worker picking it up. Separates tier wait
-    /// from handler latency in `/metrics`.
-    pub queue_wait: Arc<Histogram>,
+    /// Connection accounting and ready-queue wait, recorded by the
+    /// reactor.
+    pub tier: TierTelemetry,
 }
 
 impl ServerTelemetry {
@@ -170,10 +167,12 @@ impl ServerTelemetry {
             class_2xx: metrics.counter("ft_server_responses_total{class=\"2xx\"}"),
             class_4xx: metrics.counter("ft_server_responses_total{class=\"4xx\"}"),
             class_5xx: metrics.counter("ft_server_responses_total{class=\"5xx\"}"),
-            connections_accepted: metrics.counter("ft_server_connections_accepted_total"),
-            connections_rejected: metrics.counter("ft_server_connections_rejected_total"),
-            connections_active: metrics.gauge("ft_server_connections_active"),
-            queue_wait: metrics.histogram("ft_server_queue_wait_ns"),
+            tier: TierTelemetry {
+                connections_accepted: metrics.counter("ft_server_connections_accepted_total"),
+                connections_rejected: metrics.counter("ft_server_connections_rejected_total"),
+                connections_active: metrics.gauge("ft_server_connections_active"),
+                queue_wait: metrics.histogram("ft_server_queue_wait_ns"),
+            },
         }
     }
 

@@ -1,18 +1,21 @@
 //! Serving-tier behaviour over real sockets: a request flood against a
 //! saturated worker pool is survived with a **bounded thread count**
 //! (excess requests get a clean `503 server_busy`, and the tier
-//! recovers once the slow work drains), shutdown is prompt, the fleet
+//! recovers once the held work drains), shutdown is prompt, the fleet
 //! index pages, and `/metrics` reflects what the server actually did,
 //! in both formats.
 
 use ft_core::registry::CampaignRegistry;
 use ft_core::{DeadlineProblem, PenaltyModel};
 use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
-use ft_server::{Server, ServerConfig};
+use ft_metrics::MetricsRegistry;
+use ft_server::http::{Request, Response};
+use ft_server::{Server, ServerConfig, Service, TierTelemetry};
 use serde::{map_get, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Value) {
@@ -75,21 +78,44 @@ fn hold_keep_alive(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// A deadline problem big enough that its solve occupies a worker for
-/// a while (hundreds of ms in debug builds) — the reactor multiplexes
-/// idle sockets off the workers, so only genuinely slow *requests* can
-/// saturate the pool.
-fn slow_problem_json() -> String {
-    let problem = DeadlineProblem::from_market(
-        20_000,
-        2.0,
-        120,
-        &ConstantRate::new(80.0),
-        PriceGrid::new(0, 150),
-        &LogitAcceptance::new(4.0, 0.0, 30.0),
-        PenaltyModel::Linear { per_task: 300.0 },
-    );
-    serde_json::to_string(&problem.to_value()).expect("problem json")
+/// A service whose `GET /hold` keeps its worker until the test opens
+/// the gate, announcing on `holding` that it has started; every other
+/// request is answered `200` at once. The flood test saturates the
+/// reactor with it, independent of how fast any real handler runs.
+struct Gated {
+    open: Mutex<bool>,
+    opened: Condvar,
+    holding: mpsc::Sender<()>,
+    tier: TierTelemetry,
+}
+
+impl Gated {
+    fn release(&self) {
+        *self.open.lock().expect("gate") = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Service for Gated {
+    type Worker = ();
+    const ROOT_SPAN: &'static str = "test.gate.serve";
+
+    fn worker(&self) {}
+
+    fn handle(&self, _: &mut (), request: &Request) -> Response {
+        if request.path == "/hold" {
+            let _ = self.holding.send(());
+            let mut open = self.open.lock().expect("gate");
+            while !*open {
+                open = self.opened.wait(open).expect("gate");
+            }
+        }
+        Response::json(200, "{}".to_string())
+    }
+
+    fn tier(&self) -> &TierTelemetry {
+        &self.tier
+    }
 }
 
 /// Fire a request without reading the response: the connection stays
@@ -107,7 +133,19 @@ fn send_unread(addr: SocketAddr, method: &str, path: &str) -> TcpStream {
 
 #[test]
 fn request_flood_is_survived_with_bounded_threads() {
-    let registry = Arc::new(CampaignRegistry::new());
+    let metrics = MetricsRegistry::new();
+    let (holding_tx, holding) = mpsc::channel();
+    let service = Arc::new(Gated {
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+        holding: holding_tx,
+        tier: TierTelemetry {
+            connections_accepted: metrics.counter("ft_test_connections_accepted_total"),
+            connections_rejected: metrics.counter("ft_test_connections_rejected_total"),
+            connections_active: metrics.gauge("ft_test_connections_active"),
+            queue_wait: metrics.histogram("ft_test_queue_wait_ns"),
+        },
+    });
     let config = ServerConfig {
         workers: 1,
         queue_depth: 1,
@@ -119,28 +157,23 @@ fn request_flood_is_survived_with_bounded_threads() {
     // below measures only connection handling.
     let _ = ft_exec::Pool::global();
     let baseline = thread_count();
-    let (handle, join) =
-        Server::spawn_with("127.0.0.1:0", Arc::clone(&registry), config).expect("bind");
-    let addr = handle.addr();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = {
+        let service = Arc::clone(&service);
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || ft_server::serve(listener, &*service, config, &shutdown))
+    };
 
-    // Two slow solves: the first occupies the only worker, the second
-    // fills the one-slot ready-queue.
-    let spec = format!(
-        "{{\"kind\":\"deadline\",\"problem\":{}}}",
-        slow_problem_json()
-    );
-    let mut ids = Vec::new();
-    for _ in 0..2 {
-        let (status, body) = request(addr, "POST", "/campaigns", Some(&spec));
-        assert_eq!(status, 201);
-        ids.push(num(&body, "id") as u64);
-    }
-    let slow_a = send_unread(addr, "POST", &format!("/campaigns/{}/solve", ids[0]));
-    // Let the worker pop the first solve before sending the second, so
-    // the second deterministically fills the one-slot ready-queue
-    // instead of racing the pop.
-    std::thread::sleep(Duration::from_millis(100));
-    let slow_b = send_unread(addr, "POST", &format!("/campaigns/{}/solve", ids[1]));
+    // Two held requests: the first occupies the only worker, the
+    // second fills the one-slot ready-queue. The second is sent only
+    // once the worker holds the first, so it cannot race the pop.
+    let hold_a = send_unread(addr, "GET", "/hold");
+    holding
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker never picked up the first hold");
+    let hold_b = send_unread(addr, "GET", "/hold");
     std::thread::sleep(Duration::from_millis(100)); // let the reactor parse + enqueue it
 
     // Flood. Every further request must be answered with a clean 503,
@@ -163,7 +196,8 @@ fn request_flood_is_survived_with_bounded_threads() {
         );
     }
 
-    // Once the slow solves drain, the tier must answer normally again.
+    // Once the held requests drain, the tier must answer normally.
+    service.release();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         let (status, _) = request(addr, "GET", "/healthz", None);
@@ -176,26 +210,22 @@ fn request_flood_is_survived_with_bounded_threads() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    drop(slow_a);
-    drop(slow_b);
+    drop(hold_a);
+    drop(hold_b);
 
-    // The accounting made it into the metrics plane.
-    let (status, metrics) = request(addr, "GET", "/metrics", None);
-    assert_eq!(status, 200);
+    // The reactor's accounting: 2 holds + 8 floods + the probe were
+    // accepted, the floods rejected, and both holds passed the queue.
+    let tier = service.tier();
     assert!(
-        num(&metrics, "ft_server_connections_rejected_total") >= 8.0,
-        "rejections not counted: {metrics:?}"
+        tier.connections_rejected.get() >= 8,
+        "rejections not counted"
     );
-    assert!(num(&metrics, "ft_server_connections_accepted_total") >= 12.0);
-    // The ready-queue wait histogram saw the hand-offs.
-    let queue_wait = map_get(metrics.as_map().unwrap(), "ft_server_queue_wait_ns")
-        .expect("queue wait histogram")
-        .as_map()
-        .expect("histogram object");
-    assert!(num(&Value::Map(queue_wait.to_vec()), "count") >= 2.0);
+    assert!(tier.connections_accepted.get() >= 11);
+    assert!(tier.queue_wait.snapshot().count >= 2);
 
-    handle.shutdown();
-    join.join().expect("server thread");
+    shutdown.store(true, Ordering::Release);
+    let _ = TcpStream::connect(addr);
+    server.join().expect("server thread");
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Event-loop edge cases over real sockets: slow-header connections
 //! (slowloris) are reaped by the idle deadline without a response,
 //! pipelined requests on one connection are answered strictly in
-//! order, and the keep-alive [`ft_server::Client`] really does reuse
+//! order, the keep-alive [`ft_server::Client`] really does reuse
 //! one TCP connection (and transparently reconnects after the server
-//! reaps it).
+//! reaps it), and a node's `/metrics` carries the reactor's own
+//! instruments.
 
 use ft_core::registry::CampaignRegistry;
 use ft_server::{Client, Server, ServerConfig};
@@ -153,6 +154,33 @@ fn keep_alive_client_reuses_one_connection_and_reconnects() {
     assert_eq!(status, 200);
     // One fresh accept for the reconnect (+1 for the probe below).
     assert_eq!(metric(addr, "ft_server_connections_accepted_total"), 4.0);
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn node_metrics_carry_the_reactor_instruments() {
+    let registry = Arc::new(CampaignRegistry::new());
+    let (handle, join) = Server::spawn("127.0.0.1:0", Arc::clone(&registry)).expect("bind");
+    let addr = handle.addr();
+
+    let (status, _) = ft_server::client::request(addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(status, 200);
+    assert_eq!(metric(addr, "ft_server_connections_rejected_total"), 0.0);
+    let (status, body) =
+        ft_server::client::request(addr, "GET", "/metrics", None).expect("metrics");
+    assert_eq!(status, 200);
+    let metrics: Value = serde_json::from_str(&body).expect("json");
+    let queue_wait = map_get(metrics.as_map().expect("object"), "ft_server_queue_wait_ns")
+        .expect("queue wait histogram")
+        .as_map()
+        .expect("histogram object");
+    let count = map_get(queue_wait, "count")
+        .expect("count")
+        .as_num()
+        .expect("numeric count");
+    assert!(count >= 1.0, "no request passed the ready-queue: {count}");
 
     handle.shutdown();
     join.join().expect("server thread");

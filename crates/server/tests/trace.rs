@@ -73,20 +73,6 @@ fn serve_one() -> (
     (addr, id, handle, join)
 }
 
-/// The `trace-off` twin compiles recording out; these tests assert
-/// recorded span trees, so they no-op there. (Echoing `x-ft-trace` is
-/// a wire contract and survives `trace-off`, but without stored spans
-/// there is nothing to fetch.)
-fn tracing_compiled_in() -> bool {
-    let id = ft_trace::next_trace_id();
-    drop(ft_trace::begin_at(
-        id,
-        "server.request.serve",
-        ft_trace::now_ns(),
-    ));
-    ft_trace::find_json(id).is_some()
-}
-
 /// One parsed span from a `GET /trace/{id}` body.
 #[derive(Debug)]
 struct Span {
@@ -142,10 +128,6 @@ fn assert_well_formed(spans: &[Span]) {
 
 #[test]
 fn x_ft_trace_echoed_on_unit_and_bulk_endpoints() {
-    if !tracing_compiled_in() {
-        eprintln!("skipping: ft-trace is compiled out (trace-off)");
-        return;
-    }
     let (addr, id, handle, join) = serve_one();
     let mut client = Client::new(addr);
 
@@ -197,10 +179,6 @@ fn x_ft_trace_echoed_on_unit_and_bulk_endpoints() {
 
 #[test]
 fn recalibrating_trace_spans_server_registry_engine_kernel_exec() {
-    if !tracing_compiled_in() {
-        eprintln!("skipping: ft-trace is compiled out (trace-off)");
-        return;
-    }
     let (addr, id, handle, join) = serve_one();
     let mut client = Client::new(addr);
 

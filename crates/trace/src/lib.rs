@@ -20,10 +20,6 @@
 //!    so a parent's record always lands *after* every descendant's.
 //!    Strict overwrite-oldest eviction therefore preserves the
 //!    invariant: any surviving span's ancestors survived too.
-//! 4. **Compile-out-able.** The `trace-off` cargo feature swaps in the
-//!    no-op twin at the bottom of this file — the same idiom as
-//!    `ft-core`'s `lockcheck` — so every guard is zero-sized and every
-//!    call inlines to nothing.
 //!
 //! A trace is **thread-local by construction**: the root guard
 //! ([`begin`]/[`begin_at`]) and all its child [`span`]s live on one
@@ -217,8 +213,7 @@ fn chrome_document(traces: &[Arc<CompletedTrace>]) -> String {
 // structure, their roots are reparented under the local root, and span
 // ids are offset so they stay unique. The parser below reads exactly
 // the format `CompletedTrace::to_json` emits — no general JSON
-// machinery, no dependencies — and is available in `trace-off` builds
-// too (it is a pure document transform).
+// machinery, no dependencies.
 
 /// One span as parsed back out of a `to_json` document. Names are kept
 /// as raw JSON string tokens (quotes and escapes included) so merging
@@ -434,7 +429,6 @@ pub fn merge_documents(local: &str, remotes: &[String]) -> Result<String, String
     Ok(out)
 }
 
-#[cfg(not(feature = "trace-off"))]
 mod imp {
     use super::{chrome_document, CompletedTrace, SpanRecord, MAX_DEPTH, RING_SLOTS, SPAN_BUDGET};
     use std::cell::RefCell;
@@ -447,11 +441,6 @@ mod imp {
     const COMPLETED_CAP: usize = 256;
     /// Slowest traces kept per op label.
     const EXEMPLARS_PER_OP: usize = 4;
-
-    /// Tracing is compiled in (the `trace-off` twin returns `false`).
-    pub const fn enabled() -> bool {
-        true
-    }
 
     fn anchor() -> Instant {
         static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -1024,132 +1013,13 @@ mod imp {
     }
 }
 
-// ---- no-op twin for `trace-off` builds -------------------------------
-
-#[cfg(feature = "trace-off")]
-mod imp {
-    use super::{CompletedTrace, SpanRecord};
-    use std::sync::Arc;
-
-    /// Tracing is compiled out.
-    pub const fn enabled() -> bool {
-        false
-    }
-
-    /// Always 0 in `trace-off` builds (call sites only feed it back
-    /// into inert guards).
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    /// Still unique (a plain counter) so header-injection call sites
-    /// keep working; the traces themselves are never recorded.
-    pub fn next_trace_id() -> u64 {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        // ORDERING: Relaxed — a unique-id counter.
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Never samples in `trace-off` builds.
-    #[inline(always)]
-    pub fn sample(_every: u64) -> bool {
-        false
-    }
-
-    /// Zero-sized stand-in; the explicit (empty) `Drop` keeps call
-    /// sites identical across features (mirrors `lockcheck`'s twin).
-    pub struct TraceGuard;
-
-    impl TraceGuard {
-        pub fn is_live(&self) -> bool {
-            false
-        }
-    }
-
-    impl Drop for TraceGuard {
-        fn drop(&mut self) {}
-    }
-
-    #[inline(always)]
-    pub fn begin(_name: &'static str) -> TraceGuard {
-        TraceGuard
-    }
-
-    #[inline(always)]
-    pub fn begin_with(_trace_id: u64, _name: &'static str) -> TraceGuard {
-        TraceGuard
-    }
-
-    #[inline(always)]
-    pub fn begin_at(_trace_id: u64, _name: &'static str, _start_ns: u64) -> TraceGuard {
-        TraceGuard
-    }
-
-    /// Zero-sized stand-in span.
-    pub struct Span;
-
-    impl Drop for Span {
-        fn drop(&mut self) {}
-    }
-
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub fn record(_name: &'static str, _start_ns: u64, _end_ns: u64) {}
-
-    #[inline(always)]
-    pub fn current_trace_id() -> Option<u64> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn set_current_op(_op: &'static str) {}
-
-    pub fn find(_trace_id: u64) -> Option<Arc<CompletedTrace>> {
-        None
-    }
-
-    pub fn recent(_limit: usize) -> Vec<Arc<CompletedTrace>> {
-        Vec::new()
-    }
-
-    pub fn exemplars() -> Vec<(&'static str, Vec<Arc<CompletedTrace>>)> {
-        Vec::new()
-    }
-
-    pub fn exemplar_id(_op: &str) -> Option<u64> {
-        None
-    }
-
-    pub fn snapshot_all_rings() -> Vec<SpanRecord> {
-        Vec::new()
-    }
-
-    pub fn find_json(_trace_id: u64) -> Option<String> {
-        None
-    }
-
-    pub fn recent_json(_limit: usize) -> String {
-        "{\"traces\":[],\"exemplars\":{}}".to_string()
-    }
-
-    pub fn export_chrome_json() -> String {
-        super::chrome_document(&[])
-    }
-}
-
 pub use imp::{
-    begin, begin_at, begin_with, current_trace_id, enabled, exemplar_id, exemplars,
-    export_chrome_json, find, find_json, next_trace_id, now_ns, recent, recent_json, record,
-    sample, set_current_op, snapshot_all_rings, span, Span, TraceGuard,
+    begin, begin_at, begin_with, current_trace_id, exemplar_id, exemplars, export_chrome_json,
+    find, find_json, next_trace_id, now_ns, recent, recent_json, record, sample, set_current_op,
+    snapshot_all_rings, span, Span, TraceGuard,
 };
 
-#[cfg(all(test, not(feature = "trace-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

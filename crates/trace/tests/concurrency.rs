@@ -4,8 +4,6 @@
 //! writer actually wrote, whole (name, ids, and timestamps from the
 //! same write), in the style of `ft-metrics`' tests/concurrency.rs.
 
-#![cfg(not(feature = "trace-off"))]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
