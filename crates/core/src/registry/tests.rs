@@ -1075,11 +1075,11 @@ fn status_counters_stay_consistent_under_churn() {
         // count; the *exact* equality is asserted at quiescence below.
         // A leak (the bug class this pins) accumulates monotonically
         // across the hundreds of churn rounds and busts both checks.
+        // The churners wait at `start` until the first read is done,
+        // so the checker runs however late it is scheduled.
         let checker = scope.spawn(move || {
-            start.wait();
-            let mut checks = 0u64;
             let slack = 3 * (CHURNERS + 1);
-            while !stop.load(Ordering::Acquire) {
+            let check = || {
                 let counts = registry.status_counts();
                 let counted: usize = counts.iter().map(|(_, n)| n).sum();
                 let listed = registry.ids().len();
@@ -1091,9 +1091,12 @@ fn status_counters_stay_consistent_under_churn() {
                     listed <= base + slack && listed + slack >= base,
                     "index total {listed} outside {base} ± {slack}"
                 );
-                checks += 1;
+            };
+            check();
+            start.wait();
+            while !stop.load(Ordering::Acquire) {
+                check();
             }
-            assert!(checks > 0, "checker never ran");
         });
 
         for churner in churners {

@@ -87,8 +87,8 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// (`None` off Linux or if unreadable). The observability hook behind
 /// the pool's thread-stability guarantee: warm the pool, read this,
 /// dispatch repeatedly, read again — the count must not grow
-/// (`crates/exec/tests/pool.rs`, `ft-server`'s flood test and the
-/// workspace `exec_pool` test all assert exactly that).
+/// (`ft-server`'s flood test and the workspace `exec_pool` test
+/// assert exactly that).
 pub fn process_threads() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status

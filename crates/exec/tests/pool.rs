@@ -1,17 +1,18 @@
 //! Pool lifecycle guarantees, measured from the outside: workers are
-//! **reused, not respawned** (the process thread count is stable across
-//! repeated dispatches, per `/proc/self/status`), panicking jobs
-//! neither kill workers nor poison later dispatches, and owned pools
-//! return their threads on drop.
+//! **reused, not respawned** (the count of `ft-exec-*` threads is
+//! stable across repeated dispatches, per `/proc/self/task`), panicking
+//! jobs neither kill workers nor poison later dispatches, and owned
+//! pools return their threads on drop.
 //!
 //! Tests in this binary serialize on a lock: thread counting is a
 //! process-global measurement, so concurrent pool-creating tests would
 //! pollute each other's readings.
 
-use ft_exec::{process_threads as thread_count, Pool};
+use ft_exec::Pool;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 static PROCESS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -19,19 +20,49 @@ fn serialized() -> MutexGuard<'static, ()> {
     PROCESS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Live pool worker threads (named `ft-exec-N`) in this process, or
+/// `None` off Linux. Only the pool's own threads count: the test
+/// harness starts each test's thread whenever it likes, so the
+/// process-wide total can grow mid-measurement with no pool involved.
+fn thread_count() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("ft-exec-"))
+            .count(),
+    )
+}
+
+/// [`thread_count`] once `settled` accepts it, or after 10 s. The
+/// count lags the pool both ways: a worker names itself only when it
+/// first runs (a dispatch can finish on the calling thread before any
+/// worker has), and a joined worker stays listed until the kernel has
+/// finished reaping it.
+fn thread_count_when(settled: impl Fn(usize) -> bool) -> Option<usize> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let count = thread_count()?;
+        if settled(count) || Instant::now() > deadline {
+            return Some(count);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn workers_are_reused_not_respawned() {
     let _guard = serialized();
     let pool = Pool::new(4);
-    // Warm-up dispatch (the pool spawns eagerly, but let every worker
-    // run at least one job before measuring).
+    // Warm-up dispatch; the baseline still waits for every worker to
+    // have started, since this may finish before some have.
     let mut data = vec![0u64; 4096];
     pool.par_chunks_mut(&mut data, 16, 4, |start, chunk| {
         for (j, x) in chunk.iter_mut().enumerate() {
             *x = (start + j) as u64;
         }
     });
-    let Some(before) = thread_count() else {
+    let Some(before) = thread_count_when(|n| n >= pool.workers()) else {
         return;
     };
     for round in 0..200 {
@@ -58,15 +89,20 @@ fn dropping_an_owned_pool_releases_its_threads() {
         return;
     };
     for _ in 0..8 {
+        let running = thread_count().expect("thread count readable once means always");
         let pool = Pool::new(4);
         let sum = AtomicUsize::new(0);
         pool.for_each(100, |i| {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 4950);
+        // Let this pool's workers start before the drop, so a leaked
+        // one is named and counted below.
+        thread_count_when(|n| n >= running + pool.workers());
         drop(pool);
     }
-    let after = thread_count().expect("thread count readable once means always");
+    let after =
+        thread_count_when(|n| n <= baseline).expect("thread count readable once means always");
     assert!(
         after <= baseline,
         "owned pools leaked threads: {baseline} -> {after}"

@@ -84,25 +84,15 @@ fn json(status: u16, body: Value) -> Response {
     )
 }
 
-fn error_response(status: u16, kind: &str, message: &str) -> Response {
-    json(
-        status,
-        map(vec![
-            ("error", Value::Str(kind.into())),
-            ("message", Value::Str(message.into())),
-        ]),
-    )
-}
-
 fn bad_request(message: &str) -> Response {
-    error_response(400, "bad_request", message)
+    Response::error(400, "bad_request", message)
 }
 
 /// The retryable 503 a client sees while a drain window or a dead
 /// fleet is in the way.
 fn unavailable(fleet: &Fleet, message: &str) -> Response {
     fleet.telemetry.rejects.inc();
-    error_response(503, "fleet_unavailable", message)
+    Response::error(503, "fleet_unavailable", message)
 }
 
 /// Rebuild the backend-facing request target from the parsed path and
@@ -133,15 +123,12 @@ fn percent_encode(out: &mut String, s: &str) {
     }
 }
 
-/// Route one request. Mirrors the serving tier's `handle`: one root
-/// span, one classification, one metrics record on the way out.
+/// Route one request. Mirrors the serving tier's `handle`: one
+/// classification, one metrics record on the way out, and the trace id
+/// echoed. The reactor has already opened the request's root span
+/// (`router.request.serve`).
 pub fn handle(fleet: &Fleet, conns: &mut Connections, request: &Request) -> Response {
     let started = std::time::Instant::now();
-    let root = ft_trace::begin_at(
-        request.trace.unwrap_or(0),
-        "router.request.serve",
-        ft_trace::now_ns(),
-    );
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let (slot, mut response) = match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["fleet"]) => (
@@ -166,7 +153,6 @@ pub fn handle(fleet: &Fleet, conns: &mut Connections, request: &Request) -> Resp
         .telemetry
         .record(slot, response.status, started.elapsed(), trace_id);
     response.trace = request.trace.or(trace_id);
-    drop(root);
     response
 }
 
@@ -207,7 +193,7 @@ fn dispatch(
         Endpoint::AdminDrain | Endpoint::AdminResume => {
             bad_request("node drain is fleet-managed here; use POST /fleet/drain?node=N")
         }
-        Endpoint::Other => error_response(404, "not_found", "unknown route"),
+        Endpoint::Other => Response::error(404, "not_found", "unknown route"),
     }
 }
 
@@ -270,7 +256,7 @@ fn fleet_drain(fleet: &Fleet, request: &Request) -> Response {
                 ),
             ]),
         ),
-        Err((status, message)) => error_response(status, "drain_failed", &message),
+        Err((status, message)) => Response::error(status, "drain_failed", &message),
     }
 }
 
@@ -324,7 +310,7 @@ fn placed_by_id(
         let (node, draining) = fleet.owner_with_drain(id)?;
         if mutating && draining {
             fleet.telemetry.rejects.inc();
-            return Some(error_response(
+            return Some(Response::error(
                 503,
                 "draining",
                 "campaign is migrating; retry shortly",
@@ -457,7 +443,7 @@ fn merged_campaigns(fleet: &Fleet, conns: &mut Connections, request: &Request) -
             let body = match conns.request(node, "GET", "/campaigns", None, request.trace) {
                 Ok((200, body)) => body,
                 Ok((status, _)) => {
-                    return error_response(
+                    return Response::error(
                         502,
                         "bad_gateway",
                         &format!("node {node} campaign index answered {status}"),
@@ -469,13 +455,13 @@ fn merged_campaigns(fleet: &Fleet, conns: &mut Connections, request: &Request) -
                 }
             };
             let Ok(value) = serde_json::from_str::<Value>(&body) else {
-                return error_response(502, "bad_gateway", "unparseable campaign index");
+                return Response::error(502, "bad_gateway", "unparseable campaign index");
             };
             let Some(fields) = value.as_map() else {
-                return error_response(502, "bad_gateway", "campaign index: not an object");
+                return Response::error(502, "bad_gateway", "campaign index: not an object");
             };
             let Some(campaigns) = map_get(fields, "campaigns").ok().and_then(|v| v.as_seq()) else {
-                return error_response(502, "bad_gateway", "campaign index: no campaigns");
+                return Response::error(502, "bad_gateway", "campaign index: no campaigns");
             };
             for entry in campaigns {
                 let id = entry
@@ -533,7 +519,7 @@ fn merged_metrics(fleet: &Fleet, conns: &mut Connections, request: &Request) -> 
             let body = match conns.request(node, "GET", "/metrics?buckets=1", None, request.trace) {
                 Ok((200, body)) => body,
                 Ok((status, _)) => {
-                    return error_response(
+                    return Response::error(
                         502,
                         "bad_gateway",
                         &format!("node {node} metrics answered {status}"),
@@ -545,13 +531,13 @@ fn merged_metrics(fleet: &Fleet, conns: &mut Connections, request: &Request) -> 
                 }
             };
             let Ok(Value::Map(entries)) = serde_json::from_str::<Value>(&body) else {
-                return error_response(502, "bad_gateway", "unparseable node metrics");
+                return Response::error(502, "bad_gateway", "unparseable node metrics");
             };
             for (name, value) in entries {
                 match merge_metric(&mut merged, &name, &value) {
                     Ok(()) => {}
                     Err(e) => {
-                        return error_response(
+                        return Response::error(
                             502,
                             "bad_gateway",
                             &format!("node {node} metric `{name}`: {e}"),
@@ -685,7 +671,7 @@ fn merged_trace(fleet: &Fleet, conns: &mut Connections, request: &Request) -> Re
             (it.next().expect("non-empty"), it.collect())
         }
         (None, true) => {
-            return error_response(
+            return Response::error(
                 404,
                 "not_found",
                 "trace not stored on any fleet node (evicted or never sampled)",
@@ -694,7 +680,7 @@ fn merged_trace(fleet: &Fleet, conns: &mut Connections, request: &Request) -> Re
     };
     match ft_trace::merge_documents(&base, &rest) {
         Ok(doc) => Response::json(200, doc),
-        Err(e) => error_response(502, "bad_gateway", &format!("trace merge failed: {e}")),
+        Err(e) => Response::error(502, "bad_gateway", &format!("trace merge failed: {e}")),
     }
 }
 
@@ -779,10 +765,10 @@ fn bulk(
                         })
                     });
                     let Some(results) = results else {
-                        return error_response(502, "bad_gateway", "unparseable bulk reply");
+                        return Response::error(502, "bad_gateway", "unparseable bulk reply");
                     };
                     if results.len() != indices.len() {
-                        return error_response(502, "bad_gateway", "bulk reply wrong length");
+                        return Response::error(502, "bad_gateway", "bulk reply wrong length");
                     }
                     for (&index, result) in indices.iter().zip(results) {
                         slots[index] = Some(result);

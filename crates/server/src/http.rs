@@ -55,6 +55,19 @@ impl Response {
         }
     }
 
+    /// The JSON error body every tier answers with:
+    /// `{"error": kind, "message": message}`.
+    pub fn error(status: u16, kind: &str, message: &str) -> Self {
+        let body = serde::Value::Map(vec![
+            ("error".into(), serde::Value::Str(kind.into())),
+            ("message".into(), serde::Value::Str(message.into())),
+        ]);
+        Self::json(
+            status,
+            serde_json::to_string(&body).expect("serialize error"),
+        )
+    }
+
     /// Plain-text response (the Prometheus exposition format).
     pub fn text(status: u16, body: String) -> Self {
         Self {

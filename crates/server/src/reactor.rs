@@ -256,17 +256,11 @@ impl Conn {
 }
 
 fn busy_response() -> Response {
-    Response::json(
-        503,
-        "{\"error\":\"server_busy\",\"message\":\"request queue full, retry\"}".to_string(),
-    )
+    Response::error(503, "server_busy", "request queue full, retry")
 }
 
 fn malformed_response() -> Response {
-    Response::json(
-        400,
-        "{\"error\":\"bad_request\",\"message\":\"malformed HTTP request\"}".to_string(),
-    )
+    Response::error(400, "bad_request", "malformed HTTP request")
 }
 
 /// Answer an over-capacity connection with a quick 503 and close it.

@@ -65,17 +65,6 @@ fn created(body: Value) -> Response {
     )
 }
 
-fn error_response(status: u16, kind: &str, message: &str) -> Response {
-    let body = Value::Map(vec![
-        ("error".into(), Value::Str(kind.into())),
-        ("message".into(), Value::Str(message.into())),
-    ]);
-    Response::json(
-        status,
-        serde_json::to_string(&body).expect("serialize error"),
-    )
-}
-
 fn error_kind(error: &PricingError) -> &'static str {
     match error {
         PricingError::Infeasible(_) => "infeasible",
@@ -88,11 +77,11 @@ fn error_kind(error: &PricingError) -> &'static str {
 }
 
 fn pricing_error(error: &PricingError) -> Response {
-    error_response(status_for(error), error_kind(error), &error.to_string())
+    Response::error(status_for(error), error_kind(error), &error.to_string())
 }
 
 fn bad_request(message: &str) -> Response {
-    error_response(400, "bad_request", message)
+    Response::error(400, "bad_request", message)
 }
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
@@ -108,16 +97,12 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
 /// the single routing table), dispatch onto the registry, and record
 /// endpoint count, latency and status class into the metrics plane.
 ///
-/// When the request carries an `x-ft-trace` id, a root span is opened
-/// here (a no-op for callers like the reactor that already opened one
-/// with queue-wait attribution) and the id is echoed on the response.
+/// Tracing is the caller's: the reactor opens the request's root span
+/// before calling in. Here the trace is keyed by endpoint, and its id
+/// (the client's `x-ft-trace`, or the sampled one) is echoed on the
+/// response.
 pub fn handle(state: &AppState, request: &Request) -> Response {
     let started = std::time::Instant::now();
-    let root = ft_trace::begin_at(
-        request.trace.unwrap_or(0),
-        "server.request.serve",
-        ft_trace::now_ns(),
-    );
     let endpoint = Endpoint::classify(request);
     ft_trace::set_current_op(endpoint.label());
     let trace_id = ft_trace::current_trace_id();
@@ -128,7 +113,6 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
     // Echo the client's trace id, or the sampled one, so the caller
     // can fetch the span tree (propagation is a wire contract).
     response.trace = request.trace.or(trace_id);
-    drop(root);
     response
 }
 
@@ -140,7 +124,7 @@ fn dispatch(state: &AppState, endpoint: Endpoint, request: &Request) -> Response
     // (quoting never advances a generation), so in-flight traffic
     // completes during the hand-off window.
     if state.draining() && mutates(endpoint) {
-        return error_response(
+        return Response::error(
             503,
             "draining",
             "node is draining for migration; retry against the fleet",
@@ -204,9 +188,9 @@ fn with_id(request: &Request, handler: impl FnOnce(CampaignId) -> Response) -> R
 fn fallback(request: &Request) -> Response {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
-        ["campaigns", _] => error_response(405, "method_not_allowed", "use GET or DELETE"),
-        ["campaigns", _, _] => error_response(404, "not_found", "unknown campaign action"),
-        _ => error_response(404, "not_found", "unknown route"),
+        ["campaigns", _] => Response::error(405, "method_not_allowed", "use GET or DELETE"),
+        ["campaigns", _, _] => Response::error(404, "not_found", "unknown campaign action"),
+        _ => Response::error(404, "not_found", "unknown route"),
     }
 }
 
@@ -322,7 +306,7 @@ fn trace_get(request: &Request) -> Response {
     };
     match ft_trace::find_json(id) {
         Some(body) => Response::json(200, body),
-        None => error_response(
+        None => Response::error(
             404,
             "not_found",
             "trace not stored (evicted or never sampled)",

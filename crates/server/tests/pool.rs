@@ -180,8 +180,13 @@ fn request_flood_is_survived_with_bounded_threads() {
     // not a new thread — and *in order* on its own connection.
     let mut rejected = 0;
     for _ in 0..8 {
-        let (status, body) = request(addr, "GET", "/healthz", None);
-        assert_eq!(status, 503, "expected server_busy, got {status}: {body:?}");
+        let (status, body) =
+            ft_server::client::request(addr, "GET", "/healthz", None).expect("request");
+        assert_eq!(status, 503, "expected server_busy, got {status}: {body}");
+        assert_eq!(
+            body,
+            r#"{"error":"server_busy","message":"request queue full, retry"}"#
+        );
         rejected += 1;
     }
     assert_eq!(rejected, 8);

@@ -96,9 +96,12 @@ fn pipelined_requests_are_answered_in_order() {
             "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
         ));
     }
+    // A malformed request ends the burst: it is answered last, with
+    // the reactor's own 400 body, and the connection closes.
+    burst.push_str("nope\r\n\r\n");
     stream.write_all(burst.as_bytes()).expect("write burst");
-    // Half-close the write side: the server must still answer all five
-    // parsed requests before closing.
+    // Half-close the write side: the server must still answer all six
+    // requests before closing.
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("shutdown write");
@@ -118,8 +121,14 @@ fn pipelined_requests_are_answered_in_order() {
         .collect();
     assert_eq!(
         statuses,
-        ["200", "404", "200", "404", "200"],
+        ["200", "404", "200", "404", "200", "400"],
         "pipelined responses out of order or missing:\n{text}"
+    );
+    let last = &text[text.rfind("HTTP/1.1 ").expect("a response")..];
+    let body = &last[last.find("\r\n\r\n").expect("end of headers") + 4..];
+    assert_eq!(
+        body,
+        r#"{"error":"bad_request","message":"malformed HTTP request"}"#
     );
 
     handle.shutdown();

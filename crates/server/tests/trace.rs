@@ -3,14 +3,15 @@
 //! span tree for a tagged request, children nest strictly inside
 //! their parents, and a recalibrating observation's trace covers the
 //! whole stack — server → registry → engine → kernel → exec — with
-//! the reactor hand-off attributed as a `queue_wait` span.
+//! the reactor hand-off attributed as a `queue_wait` span. A reused
+//! trace id resolves to the latest request's tree alone.
 
 use ft_core::adaptive::AdaptiveOptions;
 use ft_core::registry::CampaignRegistry;
 use ft_core::{DeadlineProblem, KernelConfig, PenaltyModel};
 use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
 use ft_server::client::Client;
-use ft_server::Server;
+use ft_server::{Server, ServerConfig};
 use serde::{map_get, Serialize, Value};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -48,7 +49,9 @@ fn problem() -> DeadlineProblem {
 
 /// Spawn a server with one solved deadline campaign on an aggressive
 /// recalibration cadence; returns `(addr, campaign_id, ...)`.
-fn serve_one() -> (
+fn serve_one(
+    config: ServerConfig,
+) -> (
     SocketAddr,
     u64,
     ft_server::ServerHandle,
@@ -61,7 +64,7 @@ fn serve_one() -> (
             ..AdaptiveOptions::default()
         },
     ));
-    let (handle, join) = Server::spawn("127.0.0.1:0", registry).expect("bind");
+    let (handle, join) = Server::spawn_with("127.0.0.1:0", registry, config).expect("bind");
     let addr = handle.addr();
     let problem_json = serde_json::to_string(&problem().to_value()).expect("problem json");
     let spec = format!("{{\"kind\":\"deadline\",\"problem\":{problem_json},\"eps\":1e-9}}");
@@ -128,7 +131,7 @@ fn assert_well_formed(spans: &[Span]) {
 
 #[test]
 fn x_ft_trace_echoed_on_unit_and_bulk_endpoints() {
-    let (addr, id, handle, join) = serve_one();
+    let (addr, id, handle, join) = serve_one(ServerConfig::default());
     let mut client = Client::new(addr);
 
     // Unit endpoint: the id we tag the price lookup with comes back
@@ -178,8 +181,49 @@ fn x_ft_trace_echoed_on_unit_and_bulk_endpoints() {
 }
 
 #[test]
+fn reused_trace_id_gets_one_tree_per_request() {
+    // One worker, so both requests are traced on the same thread. A
+    // node sees reused ids without any client reusing one: on a 404
+    // the router restores the campaign and re-sends the request, id
+    // and all.
+    let (addr, id, handle, join) = serve_one(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::new(addr);
+    let trace_id = ft_trace::next_trace_id();
+    for path in [
+        "/healthz".to_string(),
+        format!("/campaigns/{id}/price?remaining=20&interval=0"),
+    ] {
+        let (status, _, echoed) = client
+            .request_traced("GET", &path, None, Some(trace_id))
+            .expect("traced request");
+        assert_eq!(status, 200);
+        assert_eq!(echoed, Some(trace_id));
+    }
+
+    // The id resolves to the price request's tree alone.
+    let (status, trace) = request(addr, "GET", &format!("/trace/{trace_id:016x}"), None);
+    assert_eq!(status, 200, "trace not stored: {trace:?}");
+    let spans = spans_of(&trace);
+    assert_well_formed(&spans);
+    let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), spans.len(), "a span id appears twice: {spans:?}");
+    assert!(
+        spans.iter().any(|s| s.name == "core.registry.quote"),
+        "not the price request's trace: {spans:?}"
+    );
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+#[test]
 fn recalibrating_trace_spans_server_registry_engine_kernel_exec() {
-    let (addr, id, handle, join) = serve_one();
+    let (addr, id, handle, join) = serve_one(ServerConfig::default());
     let mut client = Client::new(addr);
 
     // Observe heavy drift with a tagged id on every report; remember

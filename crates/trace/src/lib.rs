@@ -7,35 +7,35 @@
 //! order:
 //!
 //! 1. **~zero hot-path cost.** An untraced call site pays one TLS
-//!    access and one branch (`trace_id == 0`). A traced span writes a
-//!    fixed-size record into a **per-thread bounded ring** — no
-//!    allocation, no lock, no syscall on the hot path.
-//! 2. **Never torn.** Rings are written only by their owning thread
-//!    but may be read cross-thread (tests, sweeps). Each slot is a
-//!    [seqlock]: the writer bumps a sequence odd → writes fields →
-//!    bumps it even; a reader that observes an odd or changed sequence
-//!    discards the slot. A record is either whole or absent.
-//! 3. **Well-formed trees under overwrite.** The ring overwrites
-//!    oldest-first, and a span's record is written **at guard drop** —
-//!    so a parent's record always lands *after* every descendant's.
-//!    Strict overwrite-oldest eviction therefore preserves the
-//!    invariant: any surviving span's ancestors survived too.
+//!    access and one branch (`trace_id == 0`). A traced span appends a
+//!    fixed-size record to its **thread's span buffer** when its guard
+//!    drops — no lock, no syscall, and once the buffer has grown to a
+//!    thread's largest trace, no allocation either: the root drains it
+//!    and keeps its capacity.
+//! 2. **Spans live with their trace.** A thread runs at most one trace
+//!    at a time, and the buffer holds that trace's finished spans and
+//!    nothing else; only the owning thread touches it. Dropping the
+//!    root takes exactly those spans, so a reused trace id yields two
+//!    separate trees, never one tree with two roots.
+//! 3. **Well-formed trees, bounded size.** Nesting deeper than
+//!    [`MAX_DEPTH`] and spans beyond [`SPAN_BUDGET`] are inert; a
+//!    child of an inert span attaches to its nearest recorded
+//!    ancestor, so every parent id in a completed trace resolves.
 //!
 //! A trace is **thread-local by construction**: the root guard
 //! ([`begin`]/[`begin_at`]) and all its child [`span`]s live on one
 //! thread (`ft-exec` records dispatch/join on the *calling* thread;
-//! pool workers carry no trace context). Dropping the root writes the
-//! root record, sweeps the owning thread's ring for the trace id, and
-//! publishes a [`CompletedTrace`] into a bounded global store plus a
-//! per-op **slow-trace exemplar** store (the N slowest per op), which
-//! back `GET /trace/recent`, `GET /trace/{id}`, `GET /trace/export`
-//! (Chrome trace-event / Perfetto JSON), and the `exemplar_trace_id`
-//! field on `/metrics` histograms.
+//! pool workers carry no trace context). Dropping the root appends the
+//! root record and publishes a [`CompletedTrace`] into a bounded global
+//! store plus a per-op **slow-trace exemplar** store (the N slowest per
+//! op), which back `GET /trace/recent`, `GET /trace/{id}` and
+//! `GET /trace/export` (Chrome trace-event / Perfetto JSON). The
+//! `exemplar_trace_id` on `/metrics` histograms is the histogram's own
+//! (`ft_metrics::Histogram::offer_exemplar`); the exemplar store keeps
+//! that slowest trace resolvable after the recent store has moved on.
 //!
 //! Span names follow the `<crate>.<component>.<verb>` grammar enforced
 //! by `ft-audit`'s L6 lint (e.g. `core.registry.quote`).
-//!
-//! [seqlock]: https://en.wikipedia.org/wiki/Seqlock
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -45,15 +45,12 @@ use std::sync::Arc;
 /// stays well-formed.
 pub const MAX_DEPTH: usize = 16;
 
-/// Slots per per-thread ring. At 64 bytes a slot this is ~128 KiB per
-/// tracing thread — bounded, allocated once, overwritten oldest-first.
-pub const RING_SLOTS: usize = 2048;
-
 /// Maximum records one trace may write. A runaway loop of spans stops
-/// recording (inert guards) instead of churning the whole ring.
+/// recording (inert guards) instead of growing its thread's span
+/// buffer without bound.
 pub const SPAN_BUDGET: u64 = 1024;
 
-/// One finished span, as swept out of a ring.
+/// One finished span of a completed trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     pub trace_id: u64,
@@ -61,8 +58,8 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// 0 for the root; otherwise the enclosing span's id.
     pub parent_id: u64,
-    /// `<crate>.<component>.<verb>` (a `'static` literal — the ring
-    /// stores the pointer, never the bytes).
+    /// `<crate>.<component>.<verb>` (a `'static` literal, so recording
+    /// a span copies no name bytes).
     pub name: &'static str,
     pub start_ns: u64,
     pub end_ns: u64,
@@ -76,8 +73,8 @@ impl SpanRecord {
     }
 }
 
-/// One finished trace: the root's bounds plus every span that survived
-/// the ring, sorted by start time.
+/// One finished trace: the root's bounds plus every span recorded under
+/// it, sorted by start time.
 #[derive(Debug, Clone)]
 pub struct CompletedTrace {
     pub trace_id: u64,
@@ -430,10 +427,10 @@ pub fn merge_documents(local: &str, remotes: &[String]) -> Result<String, String
 }
 
 mod imp {
-    use super::{chrome_document, CompletedTrace, SpanRecord, MAX_DEPTH, RING_SLOTS, SPAN_BUDGET};
+    use super::{chrome_document, CompletedTrace, SpanRecord, MAX_DEPTH, SPAN_BUDGET};
     use std::cell::RefCell;
     use std::collections::{HashMap, VecDeque};
-    use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
@@ -484,158 +481,6 @@ mod imp {
         TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(every)
     }
 
-    // ---- per-thread seqlock ring -------------------------------------
-
-    struct Slot {
-        /// Seqlock sequence: even = stable, odd = write in progress.
-        seq: AtomicU64,
-        trace_id: AtomicU64,
-        span_id: AtomicU64,
-        parent_id: AtomicU64,
-        start_ns: AtomicU64,
-        end_ns: AtomicU64,
-        name_ptr: AtomicUsize,
-        name_len: AtomicUsize,
-    }
-
-    impl Slot {
-        const fn new() -> Self {
-            Slot {
-                seq: AtomicU64::new(0),
-                trace_id: AtomicU64::new(0),
-                span_id: AtomicU64::new(0),
-                parent_id: AtomicU64::new(0),
-                start_ns: AtomicU64::new(0),
-                end_ns: AtomicU64::new(0),
-                name_ptr: AtomicUsize::new(0),
-                name_len: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    struct Ring {
-        /// Process-local id of the owning thread (exported as `tid`).
-        tid: u64,
-        /// Next write position; owner-thread only.
-        head: AtomicUsize,
-        slots: Box<[Slot]>,
-    }
-
-    impl Ring {
-        fn new(tid: u64) -> Self {
-            Ring {
-                tid,
-                head: AtomicUsize::new(0),
-                slots: (0..RING_SLOTS).map(|_| Slot::new()).collect(),
-            }
-        }
-
-        /// Publish one record (single writer: the owning thread).
-        fn write(
-            &self,
-            trace_id: u64,
-            span_id: u64,
-            parent_id: u64,
-            name: &'static str,
-            start_ns: u64,
-            end_ns: u64,
-        ) {
-            // ORDERING: Relaxed — `head` is read and written only by
-            // the owning thread; readers scan every slot instead.
-            let i = self.head.load(Ordering::Relaxed);
-            self.head.store(i.wrapping_add(1), Ordering::Relaxed);
-            let slot = &self.slots[i % RING_SLOTS];
-            // ORDERING: Relaxed — the odd marker is ordered ahead of
-            // the field stores by the Release fence just below; only
-            // the owning thread writes `seq`.
-            let s = slot.seq.load(Ordering::Relaxed);
-            slot.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-            fence(Ordering::Release);
-            // The field stores below sit between the Release fence
-            // above and the Release publish of `seq`; seqlock readers
-            // discard anything observed mid-write.
-            // ORDERING: Relaxed — covered by that fence/publish bracket.
-            slot.trace_id.store(trace_id, Ordering::Relaxed);
-            slot.span_id.store(span_id, Ordering::Relaxed);
-            slot.parent_id.store(parent_id, Ordering::Relaxed);
-            slot.start_ns.store(start_ns, Ordering::Relaxed);
-            slot.end_ns.store(end_ns, Ordering::Relaxed);
-            slot.name_ptr
-                .store(name.as_ptr() as usize, Ordering::Relaxed);
-            slot.name_len.store(name.len(), Ordering::Relaxed);
-            // ORDERING: Release — publishes the field stores above to
-            // any reader that Acquire-loads this even sequence.
-            slot.seq.store(s.wrapping_add(2), Ordering::Release);
-        }
-
-        /// Seqlock-validated read of one slot; `None` if the slot is
-        /// empty, mid-write, changed under us, or filtered out.
-        fn read(&self, index: usize, filter: Option<u64>) -> Option<SpanRecord> {
-            let slot = &self.slots[index];
-            // ORDERING: Acquire — pairs with the writer's Release
-            // publish; field loads below can't move above this.
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                return None;
-            }
-            // Validated after the fact: the Acquire fence below plus
-            // the `s1 == s2` check prove no writer touched the slot
-            // while these loaded.
-            // ORDERING: Relaxed — covered by that fence/validation pair.
-            let trace_id = slot.trace_id.load(Ordering::Relaxed);
-            let span_id = slot.span_id.load(Ordering::Relaxed);
-            let parent_id = slot.parent_id.load(Ordering::Relaxed);
-            let start_ns = slot.start_ns.load(Ordering::Relaxed);
-            let end_ns = slot.end_ns.load(Ordering::Relaxed);
-            let name_ptr = slot.name_ptr.load(Ordering::Relaxed);
-            let name_len = slot.name_len.load(Ordering::Relaxed);
-            // ORDERING: Acquire fence — pairs with the writer's Release
-            // fence; orders the field loads above before the re-load.
-            fence(Ordering::Acquire);
-            // ORDERING: Relaxed — the Acquire fence above orders the
-            // field loads before this re-load.
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 != s2 || trace_id == 0 {
-                return None;
-            }
-            if filter.is_some_and(|want| want != trace_id) {
-                return None;
-            }
-            // SAFETY: `name_ptr`/`name_len` were stored together from a
-            // `&'static str` under the seqlock, and the `s1 == s2`
-            // check above proves the pair was read un-torn (a torn
-            // pointer/length pair is discarded before reaching this
-            // line); the referent is live UTF-8 for the program's
-            // lifetime.
-            let name: &'static str = unsafe {
-                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                    name_ptr as *const u8,
-                    name_len,
-                ))
-            };
-            Some(SpanRecord {
-                trace_id,
-                span_id,
-                parent_id,
-                name,
-                start_ns,
-                end_ns,
-                tid: self.tid,
-            })
-        }
-
-        fn sweep(&self, trace_id: u64) -> Vec<SpanRecord> {
-            (0..RING_SLOTS)
-                .filter_map(|i| self.read(i, Some(trace_id)))
-                .collect()
-        }
-    }
-
-    fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
-        static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-        RINGS.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
     fn next_tid() -> u64 {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         // ORDERING: Relaxed — a unique-id counter.
@@ -656,6 +501,9 @@ mod imp {
         /// Open-span ids, `stack[0]` = the root (span id 1).
         stack: [u64; MAX_DEPTH],
         recorded: u64,
+        /// Process-local id of this thread (exported as `tid`), taken
+        /// when the thread opens its first trace; 0 until then.
+        tid: u64,
     }
 
     impl Ctx {
@@ -668,26 +516,48 @@ mod imp {
                 depth: 0,
                 stack: [0; MAX_DEPTH],
                 recorded: 0,
+                tid: 0,
+            }
+        }
+
+        /// A finished span of the active trace, parented under the
+        /// innermost open span.
+        fn child(
+            &self,
+            span_id: u64,
+            name: &'static str,
+            start_ns: u64,
+            end_ns: u64,
+        ) -> SpanRecord {
+            SpanRecord {
+                trace_id: self.trace_id,
+                span_id,
+                parent_id: self.stack[self.depth - 1],
+                name,
+                start_ns,
+                end_ns,
+                tid: self.tid,
             }
         }
     }
 
     thread_local! {
-        static RING: Arc<Ring> = {
-            let ring = Arc::new(Ring::new(next_tid()));
-            rings()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(ring.clone());
-            ring
-        };
         static CTX: RefCell<Ctx> = const { RefCell::new(Ctx::new()) };
+        /// Finished spans of the trace active on this thread, drained
+        /// by its root. Kept out of `Ctx`: a `Vec` field would give
+        /// `CTX` a destructor, and every untraced `span()` would pay
+        /// that destructor's registration check.
+        static SPANS: RefCell<Vec<SpanRecord>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn push(span: SpanRecord) {
+        SPANS.with(|spans| spans.borrow_mut().push(span));
     }
 
     // ---- guards ------------------------------------------------------
 
-    /// RAII root of one trace on this thread. Dropping it writes the
-    /// root record, sweeps this thread's ring, and publishes the
+    /// RAII root of one trace on this thread. Dropping it takes the
+    /// trace's finished spans plus the root record and publishes the
     /// completed trace to the recent/exemplar stores.
     pub struct TraceGuard {
         live: bool,
@@ -717,6 +587,9 @@ mod imp {
             if ctx.trace_id != 0 {
                 return TraceGuard { live: false, name };
             }
+            if ctx.tid == 0 {
+                ctx.tid = next_tid();
+            }
             ctx.trace_id = trace_id;
             ctx.op = name;
             ctx.start_ns = start_ns;
@@ -741,19 +614,36 @@ mod imp {
                 return;
             }
             let end_ns = now_ns();
-            let (trace_id, op, start_ns) = CTX.with(|ctx| {
+            let (trace_id, op, start_ns, tid) = CTX.with(|ctx| {
                 let mut ctx = ctx.borrow_mut();
-                let out = (ctx.trace_id, ctx.op, ctx.start_ns);
-                ctx.trace_id = 0;
                 ctx.depth = 0;
-                out
+                let trace_id = std::mem::take(&mut ctx.trace_id);
+                (trace_id, ctx.op, ctx.start_ns, ctx.tid)
             });
-            if trace_id == 0 {
-                return;
-            }
-            RING.with(|ring| {
-                ring.write(trace_id, 1, 0, self.name, start_ns, end_ns);
-                finalize(ring, trace_id, op, start_ns, end_ns);
+            // Move the spans out; the buffer keeps its capacity for
+            // this thread's next trace.
+            let mut spans = SPANS.with(|buffer| {
+                let mut buffer = buffer.borrow_mut();
+                let mut spans = Vec::with_capacity(buffer.len() + 1);
+                spans.append(&mut buffer);
+                spans
+            });
+            spans.push(SpanRecord {
+                trace_id,
+                span_id: 1,
+                parent_id: 0,
+                name: self.name,
+                start_ns,
+                end_ns,
+                tid,
+            });
+            spans.sort_by_key(|s| (s.start_ns, s.span_id));
+            publish(CompletedTrace {
+                trace_id,
+                op,
+                start_ns,
+                end_ns,
+                spans,
             });
         }
     }
@@ -806,19 +696,8 @@ mod imp {
                     return;
                 }
                 ctx.depth -= 1;
-                let parent = ctx.stack[ctx.depth - 1];
                 ctx.recorded += 1;
-                let trace_id = ctx.trace_id;
-                RING.with(|ring| {
-                    ring.write(
-                        trace_id,
-                        self.span_id,
-                        parent,
-                        self.name,
-                        self.start_ns,
-                        end_ns,
-                    )
-                });
+                push(ctx.child(self.span_id, self.name, self.start_ns, end_ns));
             });
         }
     }
@@ -832,11 +711,8 @@ mod imp {
                 return;
             }
             ctx.next_span += 1;
-            let span_id = ctx.next_span;
-            let parent = ctx.stack[ctx.depth - 1];
             ctx.recorded += 1;
-            let trace_id = ctx.trace_id;
-            RING.with(|ring| ring.write(trace_id, span_id, parent, name, start_ns, end_ns));
+            push(ctx.child(ctx.next_span, name, start_ns, end_ns));
         });
     }
 
@@ -874,16 +750,9 @@ mod imp {
         STORE.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    fn finalize(ring: &Ring, trace_id: u64, op: &'static str, start_ns: u64, end_ns: u64) {
-        let mut spans = ring.sweep(trace_id);
-        spans.sort_by_key(|s| (s.start_ns, s.span_id));
-        let trace = Arc::new(CompletedTrace {
-            trace_id,
-            op,
-            start_ns,
-            end_ns,
-            spans,
-        });
+    fn publish(trace: CompletedTrace) {
+        let op = trace.op;
+        let trace = Arc::new(trace);
         {
             let mut store = completed().lock().unwrap_or_else(|e| e.into_inner());
             if store.len() >= COMPLETED_CAP {
@@ -936,27 +805,6 @@ mod imp {
         let mut out: Vec<_> = store.iter().map(|(op, v)| (*op, v.clone())).collect();
         out.sort_by_key(|(op, _)| *op);
         out
-    }
-
-    /// The slowest exemplar trace id for `op`, if one is stored —
-    /// surfaced as `exemplar_trace_id` on `/metrics` histograms.
-    pub fn exemplar_id(op: &str) -> Option<u64> {
-        exemplar_store()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(op)
-            .and_then(|v| v.first())
-            .map(|t| t.trace_id)
-    }
-
-    /// Every validated record currently in any thread's ring —
-    /// cross-thread seqlock reads, for tests and diagnostics.
-    pub fn snapshot_all_rings() -> Vec<SpanRecord> {
-        let rings: Vec<Arc<Ring>> = rings().lock().unwrap_or_else(|e| e.into_inner()).clone();
-        rings
-            .iter()
-            .flat_map(|ring| (0..RING_SLOTS).filter_map(|i| ring.read(i, None)))
-            .collect()
     }
 
     // ---- JSON views --------------------------------------------------
@@ -1014,9 +862,9 @@ mod imp {
 }
 
 pub use imp::{
-    begin, begin_at, begin_with, current_trace_id, exemplar_id, exemplars, export_chrome_json,
-    find, find_json, next_trace_id, now_ns, recent, recent_json, record, sample, set_current_op,
-    snapshot_all_rings, span, Span, TraceGuard,
+    begin, begin_at, begin_with, current_trace_id, exemplars, export_chrome_json, find, find_json,
+    next_trace_id, now_ns, recent, recent_json, record, sample, set_current_op, span, Span,
+    TraceGuard,
 };
 
 #[cfg(test)]
@@ -1233,6 +1081,26 @@ mod tests {
     }
 
     #[test]
+    fn reused_trace_id_gets_a_fresh_tree() {
+        // A client may send the same x-ft-trace id twice, and the
+        // router re-sends it when it retries a request on a node. The
+        // second trace must hold only its own spans.
+        let id = next_trace_id();
+        {
+            let _root = begin_with(id, "trace.test.first_use");
+            let _child = span("trace.test.first_child");
+        }
+        {
+            let _root = begin_with(id, "trace.test.second_use");
+        }
+        let trace = find(id).expect("trace stored");
+        assert_eq!(trace.op, "trace.test.second_use");
+        assert_eq!(trace.spans.len(), 1, "{:?}", trace.spans);
+        assert_eq!(trace.spans[0].parent_id, 0);
+        assert_eq!(trace.spans[0].name, "trace.test.second_use");
+    }
+
+    #[test]
     fn untraced_spans_are_inert() {
         assert_eq!(current_trace_id(), None);
         let _s = span("trace.test.orphan");
@@ -1299,20 +1167,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_keeps_tree_well_formed() {
+    fn span_flood_keeps_tree_well_formed() {
         let id = next_trace_id();
         {
             let _root = begin_with(id, "trace.test.overflow");
             let _mid = span("trace.test.mid");
-            // More spans than the ring holds: oldest records fall out,
-            // but write-at-drop means surviving spans' ancestors (mid,
-            // root — written last) always survive.
-            for _ in 0..RING_SLOTS {
+            // Twice the budget: the churn spans past it are inert, and
+            // the spans still open when it runs out (mid, root) are
+            // recorded anyway, so every recorded parent survives.
+            for _ in 0..2 * SPAN_BUDGET {
                 let _s = span("trace.test.churn");
             }
         }
         let trace = find(id).expect("trace stored");
-        assert!(trace.spans.len() <= RING_SLOTS);
+        assert_eq!(trace.spans.len() as u64, SPAN_BUDGET + 2);
         for span in &trace.spans {
             if span.parent_id != 0 {
                 assert!(
@@ -1338,7 +1206,6 @@ mod tests {
             }
             drop(_root);
         }
-        assert_eq!(exemplar_id(op), Some(slow_id));
         let all = exemplars();
         let bucket = &all
             .iter()
