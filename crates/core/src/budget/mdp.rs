@@ -98,7 +98,7 @@ pub fn solve_budget_mdp(problem: &BudgetProblem) -> Result<BudgetMdpPolicy> {
 }
 
 /// [`solve_budget_mdp`] with an explicit kernel configuration (the
-/// pricing service passes its per-campaign thread budget here).
+/// campaign registry passes its per-campaign thread budget here).
 pub fn solve_budget_mdp_with(
     problem: &BudgetProblem,
     cfg: &KernelConfig,

@@ -83,6 +83,6 @@ pub use problem::DeadlineProblem;
 pub use registry::{
     BudgetDriftOptions, CampaignObservation, CampaignPolicy, CampaignRegistry, CampaignReport,
     CampaignSpec, CampaignStatus, ObserveOutcome, ObservedState, PolicyGeneration, PriceQuote,
-    RecalibrationSpec, RegistryConfig,
+    RegistryConfig,
 };
 pub use scheduler::{SchedulerStats, SolveContext, SolveScheduler, WaveStats, WaveTicket};

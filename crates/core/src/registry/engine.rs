@@ -9,9 +9,6 @@
 //!   and updates the engine's drift statistics;
 //! - [`CampaignEngine::should_recalibrate`] says whether those
 //!   statistics (plus the kind's cadence rules) warrant a re-solve now;
-//! - [`CampaignEngine::recalibration_spec`] describes the re-solve the
-//!   engine would run — the remaining scope and the drift correction it
-//!   would apply;
 //! - [`CampaignEngine::solve`] runs that re-solve and hands back the
 //!   policy for the next generation (the registry publishes it with the
 //!   usual single pointer swap);
@@ -61,23 +58,6 @@ pub(super) struct ObserveEffect {
     pub recalibrate: bool,
 }
 
-/// The re-solve a recalibration would run (diagnostics + the engines'
-/// own solve input).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecalibrationSpec {
-    /// Re-solve the remaining deadline horizon `start..` with trained
-    /// arrivals scaled by `correction`.
-    Deadline { start: usize, correction: f64 },
-    /// Re-solve the budget MDP over `remaining` tasks and
-    /// `budget_cents` unspent cents with the trained acceptance curve
-    /// shifted by `shift` in logit space.
-    Budget {
-        remaining: u32,
-        budget_cents: usize,
-        shift: f64,
-    },
-}
-
 /// Per-kind live machinery behind a campaign's writer lock.
 pub(super) trait CampaignEngine: Send {
     /// `"deadline"` / `"budget"` — must match the observation kinds.
@@ -90,9 +70,6 @@ pub(super) trait CampaignEngine: Send {
     /// Whether the drift statistics plus the kind's cadence warrant a
     /// re-solve now.
     fn should_recalibrate(&self) -> bool;
-
-    /// The re-solve a recalibration would run right now, if any.
-    fn recalibration_spec(&self) -> Option<RecalibrationSpec>;
 
     /// Run the recalibration re-solve. `Ok(Some((policy, start)))`
     /// hands the registry the next generation's policy; `Ok(None)`
@@ -181,14 +158,6 @@ impl CampaignEngine for DeadlineEngine {
         t < self.pricer.problem().n_intervals()
             && t >= self.pricer.policy_start()
             && t - self.pricer.policy_start() >= self.pricer.options().resolve_every
-    }
-
-    fn recalibration_spec(&self) -> Option<RecalibrationSpec> {
-        self.should_recalibrate()
-            .then(|| RecalibrationSpec::Deadline {
-                start: self.pricer.observations(),
-                correction: self.pricer.correction(),
-            })
     }
 
     fn solve(&mut self, ctx: &SolveContext) -> Result<Option<(CampaignPolicy, usize)>> {
@@ -564,17 +533,6 @@ impl CampaignEngine for BudgetEngine {
 
     fn should_recalibrate(&self) -> bool {
         self.drifted() && self.reports_since_resolve >= self.opts.resolve_every
-    }
-
-    /// Unlike [`BudgetEngine::should_recalibrate`] this ignores the
-    /// cadence: it describes the re-solve the accumulated drift calls
-    /// for, whether or not enough reports have arrived to act on it.
-    fn recalibration_spec(&self) -> Option<RecalibrationSpec> {
-        self.drifted().then(|| RecalibrationSpec::Budget {
-            remaining: self.remaining,
-            budget_cents: self.budget_left(),
-            shift: self.next_shift(),
-        })
     }
 
     fn solve(&mut self, ctx: &SolveContext) -> Result<Option<(CampaignPolicy, usize)>> {

@@ -20,7 +20,7 @@
 //!
 //! | module | owns |
 //! |---|---|
-//! | `store` | the `ShardedStore`: N independently locked shards (id-hash routed) + shard-local status counters |
+//! | `store` | the `ShardedStore`: N independently locked shards (id-hash routed) |
 //! | `engine` | the `CampaignEngine` trait and its deadline/budget implementations |
 //! | `snapshot` | versioned JSON persistence (old formats keep loading) |
 //!
@@ -31,7 +31,6 @@
 //! | id → record map | one **shard** `RwLock` read | a map lookup |
 //! | current [`PolicyGeneration`] | `RwLock` read / write | an `Arc` clone / pointer swap |
 //! | status | `AtomicU8` | lock-free |
-//! | fleet status counts | shard-local atomics | lock-free sum |
 //! | spec + engine | `Mutex` | writer ops (solve/observe/evict) |
 //!
 //! Solves and recalibrations run while holding only the writer `Mutex`
@@ -43,7 +42,7 @@ mod engine;
 mod snapshot;
 mod store;
 
-pub use engine::{BudgetDriftOptions, RecalibrationSpec};
+pub use engine::BudgetDriftOptions;
 pub use snapshot::SNAPSHOT_VERSION;
 
 use crate::adaptive::{AdaptiveOptions, AdaptivePricer};
@@ -66,9 +65,18 @@ use store::{lock_state, Campaign, ShardedStore};
 /// Truncation mass used when a deadline campaign doesn't specify one.
 pub const DEFAULT_EPS: f64 = 1e-9;
 
+/// Largest expected worker arrivals per interval (`λ_t`) a deadline
+/// spec may ask for: about 6·10⁵× the paper's 1700 per interval. Every
+/// solve derives truncation points `s₀ ≈ λ_t` from these masses, and a
+/// recalibration scales them by up to `max_correction` (4 by default).
+/// Past 2⁵³ ≈ 9·10¹⁵ an f64 cannot hold `s₀` exactly, and past 2⁶⁴ the
+/// truncation search never returns, so even 4× the bound stays over six
+/// orders of magnitude inside both.
+pub const MAX_INTERVAL_ARRIVALS: f64 = 1e9;
+
 /// Default shard count for the sharded store. Enough that a handful of
-/// writer threads rarely collide, small enough that aggregating the
-/// per-shard counters stays trivial.
+/// writer threads rarely collide, small enough that walking every shard
+/// (status counts, snapshots) stays cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Registry-wide configuration: shard layout, solver budget, and the
@@ -142,8 +150,10 @@ impl CampaignSpec {
                     return bad("zero intervals".into());
                 }
                 for &lam in &problem.interval_arrivals {
-                    if !(lam >= 0.0 && lam.is_finite()) {
-                        return bad(format!("interval arrival {lam} must be finite and ≥ 0"));
+                    if !(0.0..=MAX_INTERVAL_ARRIVALS).contains(&lam) {
+                        return bad(format!(
+                            "interval arrival {lam:?} must be in [0, {MAX_INTERVAL_ARRIVALS:e}]"
+                        ));
                     }
                 }
                 if !(problem.penalty.per_task().is_finite() && problem.penalty.per_task() >= 0.0) {
@@ -504,8 +514,7 @@ impl CampaignRegistry {
     }
 
     fn insert_draft(&self, id: CampaignId, spec: CampaignSpec) {
-        let campaign = Arc::new(Campaign::new(spec, self.store.stats_for(id)));
-        self.store.insert(id, campaign);
+        self.store.insert(id, Arc::new(Campaign::new(spec)));
     }
 
     /// Solve a draft campaign with the registry's full worker budget and
@@ -978,18 +987,6 @@ impl CampaignRegistry {
         Ok(report)
     }
 
-    /// The re-solve the campaign's engine would run if an observation
-    /// arrived right now — `None` when the drift statistics or cadence
-    /// don't warrant one (diagnostics).
-    pub fn recalibration_spec(&self, id: CampaignId) -> Result<Option<RecalibrationSpec>> {
-        let campaign = self.get(id)?;
-        let state = lock_state(&campaign);
-        Ok(state
-            .engine
-            .as_deref()
-            .and_then(|engine| engine.recalibration_spec()))
-    }
-
     /// The campaign's current policy generation, if solved.
     pub fn generation(&self, id: CampaignId) -> Option<Arc<PolicyGeneration>> {
         self.get(id).ok().and_then(|c| c.generation())
@@ -1034,8 +1031,7 @@ impl CampaignRegistry {
         ids
     }
 
-    /// Number of non-evicted campaigns (from the shard counters — no
-    /// map walk).
+    /// Number of non-evicted campaigns (one walk over the shard maps).
     pub fn len(&self) -> usize {
         self.store.len_serving()
     }
@@ -1045,8 +1041,8 @@ impl CampaignRegistry {
     }
 
     /// Campaign counts bucketed by lifecycle status, in enum order —
-    /// the `/healthz` fleet summary. Aggregated from shard-local
-    /// atomics; takes no lock.
+    /// the `/healthz` fleet summary. Tallied over each shard's records
+    /// under that shard's read lock, one shard at a time.
     pub fn status_counts(&self) -> [(CampaignStatus, usize); 6] {
         self.store.status_counts()
     }

@@ -329,7 +329,7 @@ impl CampaignRegistry {
     /// record at that id).
     fn revive_campaign(&self, persisted: PersistedCampaign) -> Result<()> {
         let id = persisted.id;
-        let campaign = Arc::new(Campaign::new(persisted.spec, self.store().stats_for(id)));
+        let campaign = Arc::new(Campaign::new(persisted.spec));
         let status = match persisted.status {
             // A solve or recalibration that was in flight at
             // snapshot time produced nothing durable.
@@ -427,8 +427,8 @@ impl CampaignRegistry {
                     .write()
                     .expect("campaign generation lock poisoned") = None;
             }
+            campaign.transition(&state, status);
         }
-        campaign.set_status_raw(status);
         self.store().insert(id, campaign);
         Ok(())
     }

@@ -406,9 +406,6 @@ fn budget_acceptance_drift_triggers_recalibration() {
     let gen1 = registry.generation(id).unwrap();
     assert_eq!(gen1.generation, 1);
 
-    // Nothing to recalibrate yet.
-    assert_eq!(registry.recalibration_spec(id).unwrap(), None);
-
     // Two exposure-carrying reports where workers accept far less often
     // than the trained curve predicts: many offers, few completions.
     let posted = registry
@@ -434,22 +431,7 @@ fn budget_acceptance_drift_triggers_recalibration() {
         .unwrap();
     assert!(!first.recalibrated, "one report must not cross the cadence");
     assert!(first.correction < 1.0, "drift did not lower the correction");
-
-    // Before the second report lands, the engine already knows what it
-    // would re-solve.
-    let spec = registry.recalibration_spec(id).unwrap();
-    match spec {
-        Some(RecalibrationSpec::Budget {
-            remaining,
-            budget_cents,
-            shift,
-        }) => {
-            assert_eq!(remaining, 38);
-            assert_eq!(budget_cents, 600 - 2 * posted as usize);
-            assert!(shift < 0.0, "shift {shift} should be negative under drift");
-        }
-        other => panic!("expected a pending budget recalibration, got {other:?}"),
-    }
+    assert_eq!(first.remaining, 38);
 
     let second = registry
         .observe(
@@ -472,7 +454,10 @@ fn budget_acceptance_drift_triggers_recalibration() {
     // trained one somewhere (the rescaled acceptance changes prices).
     let report = registry.report(id).unwrap();
     assert_eq!(report.generation, 2);
-    assert!(report.acceptance_shift.unwrap() < 0.0);
+    let shift = report.acceptance_shift.unwrap();
+    assert!(shift < 0.0, "shift {shift} should be negative under drift");
+    assert_eq!(report.remaining, Some(36));
+    assert_eq!(report.spent_cents, Some(4 * posted as usize));
     let gen2 = registry.generation(id).unwrap();
     assert_eq!(gen2.generation, 2);
     let (CampaignPolicy::Budget(before), CampaignPolicy::Budget(after)) =
@@ -480,8 +465,9 @@ fn budget_acceptance_drift_triggers_recalibration() {
     else {
         panic!("budget campaign must hold budget policies");
     };
-    // The re-solved table covers the remaining scope.
+    // The re-solve ran on the remaining tasks and the unspent budget.
     assert_eq!(after.n_tasks(), 36);
+    assert_eq!(after.budget_cents(), 600 - 4 * posted as usize);
     let mut differs = false;
     for n in 1..=after.n_tasks() {
         for b in 0..=after.budget_cents() {
@@ -703,13 +689,19 @@ fn invalid_wire_specs_are_structured_errors_not_panics() {
     if let CampaignSpec::Deadline { problem, .. } = &mut bad_arrivals {
         problem.interval_arrivals[2] = -5.0;
     }
+    // At λ = 10³⁰⁰ the truncation search never returns: the solve would
+    // wedge instead of erroring.
+    let mut huge_arrivals = deadline_spec();
+    if let CampaignSpec::Deadline { problem, .. } = &mut huge_arrivals {
+        problem.interval_arrivals[2] = 1e300;
+    }
     let mut bad_budget = CampaignSpec::Budget {
         problem: tiny_budget_problem(),
     };
     if let CampaignSpec::Budget { problem } = &mut bad_budget {
         problem.mean_rate = f64::NAN;
     }
-    for spec in [bad_eps, bad_arrivals, bad_budget] {
+    for spec in [bad_eps, bad_arrivals, huge_arrivals, bad_budget] {
         assert!(matches!(
             spec.validate(),
             Err(PricingError::InvalidProblem(_))
@@ -722,6 +714,40 @@ fn invalid_wire_specs_are_structured_errors_not_panics() {
         // The campaign is back to Draft, not wedged in Solving.
         assert_eq!(registry.report(id).unwrap().status, CampaignStatus::Draft);
     }
+}
+
+/// `MAX_INTERVAL_ARRIVALS` is the largest mass a spec may carry: at the
+/// bound a spec validates and solves, and a re-solve's truncation table
+/// at the default `max_correction` times the bound is still exact in
+/// f64; just past it the spec is an `InvalidProblem`.
+#[test]
+fn interval_arrivals_at_the_bound_still_solve() {
+    let mut problem = problem();
+    problem.interval_arrivals[3] = MAX_INTERVAL_ARRIVALS * 1.5;
+    let past_bound = CampaignSpec::Deadline {
+        problem: problem.clone(),
+        eps: None,
+    };
+    assert!(matches!(
+        past_bound.validate(),
+        Err(PricingError::InvalidProblem(_))
+    ));
+    problem.interval_arrivals[3] = MAX_INTERVAL_ARRIVALS;
+    let at_bound = CampaignSpec::Deadline {
+        problem: problem.clone(),
+        eps: None,
+    };
+    at_bound.validate().unwrap();
+    let registry = CampaignRegistry::new();
+    let id = registry.register(at_bound);
+    registry.solve(id).unwrap();
+    let opts = AdaptiveOptions::default();
+    problem.interval_arrivals[3] = MAX_INTERVAL_ARRIVALS * opts.max_correction;
+    let table = TruncationTable::with_eps(&problem, opts.truncation_eps);
+    let top = problem.actions.len() - 1;
+    let mean = problem.interval_arrivals[3] * problem.actions.get(top).accept;
+    let s0 = table.get(3, top) as f64;
+    assert!(s0 > mean && s0 < 2f64.powi(53), "s₀ {s0} for mean {mean}");
 }
 
 #[test]
@@ -1011,11 +1037,10 @@ fn budget_recalibration_does_not_block_quotes() {
     });
 }
 
-/// Satellite: the counter-derived fleet totals (`/healthz`'s
-/// `campaigns_total`) and the map-derived index total (`GET
-/// /campaigns`) must agree under concurrent register/evict/purge
-/// churn — transiently within the in-flight bound, exactly at
-/// quiescence.
+/// The status-count total (`/healthz`'s `campaigns_total`) and the id
+/// index total (`GET /campaigns`) must agree under concurrent
+/// register/evict/purge/replace churn — transiently within the
+/// in-flight bound, exactly at quiescence.
 #[test]
 fn status_counters_stay_consistent_under_churn() {
     let registry = CampaignRegistry::with_registry_config(RegistryConfig {
@@ -1069,12 +1094,13 @@ fn status_counters_stay_consistent_under_churn() {
 
         // Checker: both totals must stay within a bounded band around
         // the base fleet at every read. Neither aggregate is a single
-        // atomic snapshot — a scan overlapping W in-flight
-        // register/evict/purge cycles can over- or under-count by a
-        // few — so the band allows a small multiple of the writer
-        // count; the *exact* equality is asserted at quiescence below.
-        // A leak (the bug class this pins) accumulates monotonically
-        // across the hundreds of churn rounds and busts both checks.
+        // atomic snapshot: each walks the shards one read lock at a
+        // time, and a walk overlapping W in-flight register/evict/purge
+        // cycles can over- or under-count by a few. The band allows a
+        // small multiple of the writer count; the *exact* equality is
+        // asserted at quiescence below. A leaked record accumulates
+        // monotonically across the hundreds of churn rounds and busts
+        // both checks.
         // The churners wait at `start` until the first read is done,
         // so the checker runs however late it is scheduled.
         let checker = scope.spawn(move || {
@@ -1085,7 +1111,7 @@ fn status_counters_stay_consistent_under_churn() {
                 let listed = registry.ids().len();
                 assert!(
                     counted <= base + slack && counted + slack >= base,
-                    "counter total {counted} outside {base} ± {slack}"
+                    "status-count total {counted} outside {base} ± {slack}"
                 );
                 assert!(
                     listed <= base + slack && listed + slack >= base,
@@ -1107,7 +1133,7 @@ fn status_counters_stay_consistent_under_churn() {
         checker.join().unwrap();
     });
 
-    // Quiescent: counters and map agree exactly; only the base fleet
+    // Quiescent: both totals agree exactly; only the base fleet
     // remains, all drafts.
     assert_eq!(registry.total_records(), base);
     assert_eq!(registry.ids(), base_ids);
@@ -1151,7 +1177,7 @@ fn replacing_a_live_campaign_retires_the_old_record() {
         ),
         Err(PricingError::NotServable { .. })
     ));
-    // …and the counters track exactly one record, a draft.
+    // …and the status counts see exactly one record, a draft.
     assert_eq!(registry.total_records(), 1);
     let counts = registry.status_counts();
     assert_eq!(counts[CampaignStatus::Draft as usize].1, 1);

@@ -208,8 +208,7 @@ fn registry_lifecycle_runs_clean_under_the_witness() {
             },
         )
         .expect("observe");
-    // Replacement exercises with_entry's campaign→map write path, and
-    // the fresh-record exception for the not-yet-published record.
+    // Replacement exercises with_entry's campaign→map write path.
     let doc = registry.campaign_to_json(id).expect("snapshot");
     registry.restore_json(&doc).expect("replace");
     assert!(registry.evict(id));

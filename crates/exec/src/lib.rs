@@ -3,9 +3,9 @@
 //! Structured parallelism for the `finish-them` workspace, built only on
 //! `std` — the container has no network access, so `rayon` is replaced
 //! by this deliberately small executor. One module is shared by the
-//! solver kernel (`ft-core::kernel`), the pricing service
-//! (`ft-core::service`) and the Monte-Carlo harness (`ft-sim::mc`), so
-//! every layer draws from the same worker budget.
+//! solver kernel (`ft-core::kernel`), the campaign registry's batch
+//! solves (`ft-core::registry`) and the Monte-Carlo harness
+//! (`ft-sim::mc`), so every layer draws from the same worker budget.
 //!
 //! Since PR 4 the executor is a **persistent worker pool** ([`Pool`]):
 //! worker threads are spawned lazily on the first parallel region and
@@ -156,7 +156,7 @@ where
 }
 
 /// Compute `f(i)` for every `i` in `0..len` into a fresh `Vec`, in
-/// parallel chunks — the batch-solve primitive of the pricing service.
+/// parallel chunks — the primitive behind `CampaignRegistry::solve_many`.
 pub fn par_map<R, F>(len: usize, grain: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,

@@ -35,7 +35,9 @@
 
 use crate::http::{Request, Response};
 use crate::state::{AppState, Endpoint};
-use ft_core::registry::{CampaignObservation, CampaignRegistry, CampaignSpec, ObservedState};
+use ft_core::registry::{
+    CampaignObservation, CampaignRegistry, CampaignSpec, CampaignStatus, ObservedState,
+};
 use ft_core::{BudgetProblem, CampaignId, DeadlineProblem, PricingError};
 use serde::{map_get, Deserialize, Serialize, Value};
 
@@ -199,11 +201,12 @@ fn fallback(request: &Request) -> Response {
 /// status.
 fn healthz(state: &AppState) -> Response {
     let counts = state.registry.status_counts();
-    // Keep the three fleet counts this server can report mutually
-    // consistent: `campaigns_total` counts every record (tombstones
-    // included, like `GET /campaigns`' `total` and the sum of the
-    // by-status map); `campaigns_serving` excludes evicted ones.
+    // All three fleet counts come from this one walk, so they agree:
+    // `campaigns_total` counts every record (tombstones included, like
+    // `GET /campaigns`' `total` and the sum of the by-status map);
+    // `campaigns_serving` excludes evicted ones.
     let total: usize = counts.iter().map(|(_, n)| n).sum();
+    let serving = total - counts[CampaignStatus::Evicted as usize].1;
     let by_status: Vec<(String, Value)> = counts
         .iter()
         .map(|(status, count)| (status.as_str().to_string(), Value::Num(*count as f64)))
@@ -221,7 +224,7 @@ fn healthz(state: &AppState) -> Response {
         ),
         ("campaigns", Value::Map(by_status)),
         ("campaigns_total", Value::Num(total as f64)),
-        ("campaigns_serving", Value::Num(state.registry.len() as f64)),
+        ("campaigns_serving", Value::Num(serving as f64)),
     ]))
 }
 

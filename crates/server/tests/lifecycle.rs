@@ -505,6 +505,16 @@ fn malformed_requests_are_structured_400s() {
     // Missing kind.
     let (status, _) = request(addr, "POST", "/campaigns", Some("{\"problem\":{}}"));
     assert_eq!(status, 400);
+    // An absurd arrival mass, rejected before any solve computes its
+    // truncation points (at λ = 10³⁰⁰ that search never returns, and
+    // the solve would wedge a worker).
+    let mut huge = problem();
+    huge.interval_arrivals[0] = 1e300;
+    let huge_json = serde_json::to_string(&huge.to_value()).unwrap();
+    let spec = format!("{{\"kind\":\"deadline\",\"problem\":{huge_json}}}");
+    let (status, body) = request(addr, "POST", "/campaigns", Some(&spec));
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(text(&body, "error"), "invalid_problem");
     // Unknown route / bad id.
     let (status, _) = request(addr, "GET", "/nope", None);
     assert_eq!(status, 404);
@@ -524,6 +534,8 @@ fn malformed_requests_are_structured_400s() {
         None,
     );
     assert_eq!(status, 400);
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
 
     handle.shutdown();
     join.join().expect("server thread");

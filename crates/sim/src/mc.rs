@@ -119,7 +119,7 @@ where
     // Per-trial RNG streams are derived from (seed, trial index), so the
     // chunk decomposition ft-exec picks cannot affect the results — the
     // same persistent worker pool also drives the solver kernel and
-    // pricing service, so repeated MC sweeps reuse parked workers
+    // the campaign registry, so repeated MC sweeps reuse parked workers
     // instead of spawning a fresh set per call.
     ft_exec::par_chunks_mut(&mut results, 16, cfg.threads, |start, slot| {
         for (j, out) in slot.iter_mut().enumerate() {

@@ -7,8 +7,10 @@ Start one `ft-server` and one `ft-router` in front of it (both with
 their default sizing), then run this. It checks that:
 
 - a bad request line, a 20 KB header block, `Content-Length: abc`,
-  `Content-Length: 99999999999`, and 1 MB of `[` posted to
-  `/campaigns/quotes` each get a 4xx from the node and from the router;
+  `Content-Length: 99999999999`, 1 MB of `[` posted to
+  `/campaigns/quotes`, and a deadline spec whose first interval expects
+  10^300 worker arrivals posted to `/campaigns` each get a 4xx from the
+  node and from the router;
 - with 16 connections trickling one byte per second, the router still
   answers `GET /healthz` within 2 s;
 - both still answer `GET /healthz` with 200 at the end.
@@ -22,6 +24,25 @@ import threading
 import time
 
 NESTED = b"[" * (1 << 20)
+
+# A well-formed deadline spec apart from its first interval's arrival
+# mass, which no solve could compute truncation points for.
+HUGE_ARRIVALS = (
+    b'{"kind":"deadline","problem":{"n_tasks":20,'
+    b'"interval_arrivals":[1e300,50,50],'
+    b'"actions":{"actions":[{"reward":1,"accept":0.1},{"reward":2,"accept":0.2}]},'
+    b'"penalty":{"Linear":{"per_task":500}}}}'
+)
+
+
+def post(path, body):
+    """A complete `POST` of a JSON body on a closing connection."""
+    return (
+        b"POST %s HTTP/1.1\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\nConnection: close\r\n\r\n" % (path, len(body))
+        + body
+    )
+
 
 HOSTILE = [
     ("bad request line", b"nope\r\n\r\n"),
@@ -41,12 +62,8 @@ HOSTILE = [
         b"POST /campaigns/quotes HTTP/1.1\r\nContent-Length: 99999999999\r\n"
         b"Connection: close\r\n\r\n",
     ),
-    (
-        "1 MB of [ to /campaigns/quotes",
-        b"POST /campaigns/quotes HTTP/1.1\r\nContent-Type: application/json\r\n"
-        b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(NESTED)
-        + NESTED,
-    ),
+    ("1 MB of [ to /campaigns/quotes", post(b"/campaigns/quotes", NESTED)),
+    ("10^300 arrivals to /campaigns", post(b"/campaigns", HUGE_ARRIVALS)),
 ]
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
