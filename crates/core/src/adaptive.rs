@@ -24,6 +24,10 @@ use crate::problem::DeadlineProblem;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Largest corrected interval mass a re-solve may use: 2⁵³, the last
+/// point at which every integer truncation point is an exact f64.
+const MAX_CORRECTED_ARRIVALS: f64 = 9_007_199_254_740_992.0;
+
 /// Options for the adaptive pricer.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AdaptiveOptions {
@@ -115,6 +119,19 @@ impl AdaptivePricer {
             return Err(PricingError::InvalidProblem(format!(
                 "invalid correction clamp [{}, {}]",
                 opts.min_correction, opts.max_correction
+            )));
+        }
+        // A re-solve scales each interval's mass by up to
+        // `max_correction`; past 2⁵³ no f64 holds its truncation point
+        // exactly, and far past it the truncation search refuses it.
+        let peak = problem
+            .interval_arrivals
+            .iter()
+            .fold(0.0, |m: f64, &l| m.max(l));
+        if peak * opts.max_correction > MAX_CORRECTED_ARRIVALS {
+            return Err(PricingError::InvalidProblem(format!(
+                "max correction {} takes interval arrivals {peak} past 2⁵³",
+                opts.max_correction
             )));
         }
         if !(opts.truncation_eps > 0.0 && opts.truncation_eps < 1.0) {

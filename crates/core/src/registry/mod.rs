@@ -69,10 +69,21 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 /// spec may ask for: about 6·10⁵× the paper's 1700 per interval. Every
 /// solve derives truncation points `s₀ ≈ λ_t` from these masses, and a
 /// recalibration scales them by up to `max_correction` (4 by default).
-/// Past 2⁵³ ≈ 9·10¹⁵ an f64 cannot hold `s₀` exactly, and past 2⁶⁴ the
-/// truncation search never returns, so even 4× the bound stays over six
-/// orders of magnitude inside both.
+/// Past 2⁵³ ≈ 9·10¹⁵ an f64 cannot hold `s₀` exactly, and past 2⁶² the
+/// truncation search refuses the mean, so even 4× the bound stays over
+/// six orders of magnitude inside both. A restored campaign's
+/// `max_correction` may not carry its masses past 2⁵³ either.
 pub const MAX_INTERVAL_ARRIVALS: f64 = 1e9;
+
+/// Largest solve a spec may ask for, in bytes by
+/// `CampaignSpec::solve_bytes`: 1 GiB. The largest campaign any
+/// registry caller in this repository registers is the 1000-task,
+/// 144-interval deadline campaign of `examples/pricing_service.rs`, at
+/// ≈143 MB by that bound, so the limit leaves a 7× margin over it
+/// (ftbench's §5.2 deadline campaign needs ≈14 MB, the paper budget
+/// campaign ≈6 MB). A failed allocation aborts the process, so a spec
+/// past the limit is refused before any table is allocated.
+pub const MAX_SOLVE_BYTES: f64 = 1_073_741_824.0;
 
 /// Default shard count for the sharded store. Enough that a handful of
 /// writer threads rarely collide, small enough that walking every shard
@@ -124,6 +135,34 @@ impl CampaignSpec {
         match self {
             CampaignSpec::Deadline { .. } => "deadline",
             CampaignSpec::Budget { .. } => "budget",
+        }
+    }
+
+    /// An upper bound on the bytes a solve (or re-solve) of this spec
+    /// allocates, from its sizes alone. A deadline solve holds
+    /// `(n_tasks + 1) × (intervals + 1)` table cells, one truncation
+    /// point per `(interval, action)`, and one pmf row per
+    /// `(interval, action)` of at most `n_tasks` entries (standing in
+    /// for `s₀`, so no truncation point is computed here). A budget
+    /// solve holds `(n_tasks + 1) × (⌊budget⌋ + 1)` cells.
+    pub(crate) fn solve_bytes(&self) -> f64 {
+        use std::mem::size_of;
+        // A value and a decision per table cell.
+        let cell = (size_of::<f64>() + size_of::<u32>()) as f64;
+        match self {
+            CampaignSpec::Deadline { problem, .. } => {
+                let tasks = f64::from(problem.n_tasks);
+                let intervals = problem.n_intervals() as f64;
+                let rows = intervals * problem.actions.len() as f64;
+                // A pmf row is three f64 segments (`kernel::PmfRow`).
+                let row_entry = (3 * size_of::<f64>()) as f64;
+                (tasks + 1.0) * (intervals + 1.0) * cell
+                    + rows * size_of::<usize>() as f64
+                    + rows * tasks * row_entry
+            }
+            CampaignSpec::Budget { problem } => {
+                (f64::from(problem.n_tasks) + 1.0) * (problem.budget.floor() + 1.0) * cell
+            }
         }
     }
 
@@ -204,6 +243,12 @@ impl CampaignSpec {
                 }
             }
             prev = Some((a.reward, a.accept));
+        }
+        let bytes = self.solve_bytes();
+        if bytes > MAX_SOLVE_BYTES {
+            return bad(format!(
+                "a solve needs up to {bytes:.3e} bytes, past the {MAX_SOLVE_BYTES:.3e}-byte limit"
+            ));
         }
         Ok(())
     }

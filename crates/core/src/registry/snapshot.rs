@@ -329,6 +329,10 @@ impl CampaignRegistry {
     /// record at that id).
     fn revive_campaign(&self, persisted: PersistedCampaign) -> Result<()> {
         let id = persisted.id;
+        // A snapshot is wire input too (`POST /campaigns/restore`): its
+        // spec passes the checks a created one does before any engine
+        // is built from it.
+        persisted.spec.validate()?;
         let campaign = Arc::new(Campaign::new(persisted.spec));
         let status = match persisted.status {
             // A solve or recalibration that was in flight at

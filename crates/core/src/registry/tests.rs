@@ -750,6 +750,83 @@ fn interval_arrivals_at_the_bound_still_solve() {
     assert!(s0 > mean && s0 < 2f64.powi(53), "s₀ {s0} for mean {mean}");
 }
 
+/// A snapshot is wire input too (`POST /campaigns/restore`). A solved
+/// campaign whose arrivals were rewritten to 10³⁰⁰, or whose
+/// `max_correction` was, is an error at once; both used to restore, and
+/// the first one's re-solving observe never returned.
+#[test]
+fn restores_refuse_masses_no_solve_can_handle() {
+    let registry = CampaignRegistry::new();
+    let id = registry.register(deadline_spec());
+    registry.solve(id).unwrap();
+    let json = registry.campaign_to_json(id).unwrap();
+    let arrivals = serde_json::to_string(&problem().interval_arrivals).unwrap();
+    let huge_arrivals = serde_json::to_string(&vec![1e300; 12]).unwrap();
+    for (field, poisoned) in [
+        ("arrivals", json.replace(&arrivals, &huge_arrivals)),
+        (
+            "max_correction",
+            json.replace("\"max_correction\":4,", "\"max_correction\":1e300,"),
+        ),
+    ] {
+        assert_ne!(poisoned, json, "no {field} in the snapshot");
+        let target = CampaignRegistry::new();
+        assert!(
+            matches!(
+                target.restore_json(&poisoned),
+                Err(PricingError::InvalidProblem(_))
+            ),
+            "{field}"
+        );
+        assert!(target.ids().is_empty(), "{field}");
+    }
+}
+
+/// `CampaignSpec::solve_bytes` on the repository's own campaigns: the
+/// paper's §5.2 deadline and §5.3 budget campaigns are far inside
+/// `MAX_SOLVE_BYTES`, and a batch or budget past it is refused.
+#[test]
+fn solve_size_bound_admits_paper_campaigns_and_refuses_huge_ones() {
+    let section_5_2 = DeadlineProblem::new(
+        200,
+        vec![1700.0; 72],
+        ActionSet::from_grid(PriceGrid::new(0, 40), &LogitAcceptance::paper_eq13()),
+        PenaltyModel::Linear { per_task: 100.0 },
+    );
+    let deadline = CampaignSpec::Deadline {
+        problem: section_5_2.clone(),
+        eps: None,
+    };
+    // 201 × 73 cells, 72 × 41 truncation points, 72 × 41 rows of 200
+    // three-segment entries.
+    let bytes = 201.0 * 73.0 * 12.0 + 2952.0 * 8.0 + 2952.0 * 200.0 * 24.0;
+    assert_eq!(deadline.solve_bytes(), bytes);
+    deadline.validate().unwrap();
+    let budget = CampaignSpec::Budget {
+        problem: crate::testkit::paper_budget_problem(),
+    };
+    assert_eq!(budget.solve_bytes(), 201.0 * 2501.0 * 12.0);
+    budget.validate().unwrap();
+
+    let mut huge_batch = section_5_2;
+    huge_batch.n_tasks = 4_000_000_000;
+    let mut huge_budget = crate::testkit::paper_budget_problem();
+    huge_budget.budget = 1e15;
+    for spec in [
+        CampaignSpec::Deadline {
+            problem: huge_batch,
+            eps: None,
+        },
+        CampaignSpec::Budget {
+            problem: huge_budget,
+        },
+    ] {
+        assert!(spec.solve_bytes() > MAX_SOLVE_BYTES);
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("byte limit"), "{err}");
+    }
+}
+
 #[test]
 fn budget_spend_accounting_saturates() {
     let registry = CampaignRegistry::new();

@@ -2,7 +2,8 @@
 //! three `ft-server` nodes must answer like one node — through planned
 //! migration (exact generation preserved), mid-flip reads (quotes
 //! never 404), cross-backend bulk reassembly (input order, inline
-//! errors), and clients that trickle bytes.
+//! errors), clients that trickle bytes, and one merged span tree per
+//! traced request.
 
 use ft_core::adaptive::AdaptiveOptions;
 use ft_core::registry::CampaignRegistry;
@@ -11,8 +12,9 @@ use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
 use ft_router::{Router, RouterConfig, RouterHandle};
 use ft_server::{Server, ServerHandle};
 use serde::{map_get, Serialize, Value};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -486,4 +488,127 @@ fn trickling_clients_do_not_wedge_the_router() {
         trickler.join().expect("trickler");
     }
     fleet.teardown();
+}
+
+/// Set in a node process's environment (see [`fleet_node_process`]).
+const NODE_PROCESS_ENV: &str = "FT_FLEET_TEST_NODE";
+
+/// Not a test: run with `FT_FLEET_TEST_NODE` set, this test binary
+/// serves one `ft-server` node, prints its address and runs until it is
+/// killed. Nodes in processes of their own have trace stores of their
+/// own, as deployed ones do; an in-process node would answer
+/// `/trace/{id}` from the router's store.
+#[test]
+#[ignore = "a fleet node process for traced_request_merges_into_one_tree_across_processes"]
+fn fleet_node_process() {
+    if std::env::var_os(NODE_PROCESS_ENV).is_none() {
+        return;
+    }
+    let (handle, _join) =
+        Server::spawn("127.0.0.1:0", Arc::new(CampaignRegistry::new())).expect("bind node");
+    println!("node listening on {}", handle.addr());
+    loop {
+        std::thread::park();
+    }
+}
+
+/// One [`fleet_node_process`], killed on drop.
+struct NodeProcess {
+    child: Child,
+    addr: SocketAddr,
+    /// Held open so the node never writes to a closed pipe.
+    _stdout: BufReader<ChildStdout>,
+}
+
+impl NodeProcess {
+    fn spawn() -> Self {
+        let mut child = Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["fleet_node_process", "--exact", "--ignored", "--nocapture"])
+            .env(NODE_PROCESS_ENV, "1")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn node process");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut line = String::new();
+        let addr = loop {
+            line.clear();
+            let read = stdout.read_line(&mut line).expect("node stdout");
+            assert!(read > 0, "node process exited before printing its address");
+            if let Some(addr) = line.trim().strip_prefix("node listening on ") {
+                break addr.parse().expect("node address");
+            }
+        };
+        NodeProcess {
+            child,
+            addr,
+            _stdout: stdout,
+        }
+    }
+}
+
+impl Drop for NodeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A price request tagged with `x-ft-trace`, sent through a router
+/// over two node processes: `GET /trace/{id}` at the router stitches
+/// the router's segment and the owning node's into one tree.
+#[test]
+fn traced_request_merges_into_one_tree_across_processes() {
+    let nodes = [NodeProcess::spawn(), NodeProcess::spawn()];
+    let backends = nodes.iter().map(|node| node.addr).collect();
+    let router = Router::bind("127.0.0.1:0", backends, RouterConfig::default()).expect("bind");
+    let (router, router_join) = router.spawn().expect("spawn router");
+    let addr = router.addr();
+    let id = seed_campaigns(addr, 1)[0];
+
+    let trace_id = ft_trace::next_trace_id();
+    let path = format!("/campaigns/{id}/price?remaining=10&interval=0");
+    let (status, _, echoed) = ft_server::Client::new(addr)
+        .request_traced("GET", &path, None, Some(trace_id))
+        .expect("traced price request");
+    assert_eq!((status, echoed), (200, Some(trace_id)));
+    let (status, trace) = request(addr, "GET", &format!("/trace/{trace_id:016x}"), None);
+    assert_eq!(status, 200, "{trace:?}");
+    let spans: Vec<(u64, u64, &str)> = map_get(trace.as_map().expect("object"), "spans")
+        .expect("spans")
+        .as_seq()
+        .expect("spans array")
+        .iter()
+        .map(|s| {
+            (
+                num(s, "span_id") as u64,
+                num(s, "parent_id") as u64,
+                text(s, "name"),
+            )
+        })
+        .collect();
+
+    let roots: Vec<_> = spans.iter().filter(|s| s.1 == 0).collect();
+    assert_eq!(roots.len(), 1, "{spans:?}");
+    let (root_id, _, root_name) = *roots[0];
+    assert_eq!(root_name, "router.request.serve");
+    assert!(
+        spans
+            .iter()
+            .any(|&(_, parent, name)| name == "server.request.serve" && parent == root_id),
+        "no node segment under the router's root: {spans:?}"
+    );
+    let mut ids: Vec<u64> = spans.iter().map(|s| s.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), spans.len(), "a span id appears twice: {spans:?}");
+    for span in &spans {
+        assert!(
+            span.1 == 0 || ids.binary_search(&span.1).is_ok(),
+            "dangling parent: {span:?}"
+        );
+    }
+
+    router.shutdown();
+    router_join.join().expect("router thread");
 }

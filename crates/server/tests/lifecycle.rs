@@ -541,6 +541,89 @@ fn malformed_requests_are_structured_400s() {
     join.join().expect("server thread");
 }
 
+/// Post `spec` to `/campaigns` on a fresh node: it must be refused as
+/// an `invalid_problem` 400, and the node must answer `/healthz` after.
+fn assert_create_refused(spec: &str) {
+    let registry = registry();
+    let (handle, join) = Server::spawn("127.0.0.1:0", Arc::clone(&registry)).expect("bind");
+    let addr = handle.addr();
+    let (status, body) = request(addr, "POST", "/campaigns", Some(spec));
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(text(&body, "error"), "invalid_problem");
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+/// A sub-1 KB deadline spec for 4·10⁹ tasks over 3 intervals and 16
+/// actions. Its pmf rows alone would take ≈4.6 TB; it used to be
+/// created, and its solve's failed allocation aborted the node.
+#[test]
+fn billions_of_tasks_are_a_400_not_an_abort() {
+    let problem = DeadlineProblem::from_market(
+        4_000_000_000,
+        1.0,
+        3,
+        &ConstantRate::new(150.0),
+        PriceGrid::new(0, 15),
+        &LogitAcceptance::new(4.0, 0.0, 30.0),
+        PenaltyModel::Linear { per_task: 500.0 },
+    );
+    let problem_json = serde_json::to_string(&problem.to_value()).unwrap();
+    let spec = format!("{{\"kind\":\"deadline\",\"problem\":{problem_json}}}");
+    assert!(spec.len() < 1024, "{} bytes", spec.len());
+    assert_create_refused(&spec);
+}
+
+/// The paper's budget campaign with a 10¹⁵-cent budget: a
+/// 201 × (10¹⁵ + 1)-cell table, which used to abort the node the same
+/// way.
+#[test]
+fn a_quadrillion_cent_budget_is_a_400_not_an_abort() {
+    let mut problem = ft_core::testkit::paper_budget_problem();
+    problem.budget = 1e15;
+    let problem_json = serde_json::to_string(&problem.to_value()).unwrap();
+    assert_create_refused(&format!(
+        "{{\"kind\":\"budget\",\"problem\":{problem_json}}}"
+    ));
+}
+
+/// A snapshot document is checked like a spec: a solved campaign's
+/// snapshot with its arrivals rewritten to 10³⁰⁰ is a 400. It used to
+/// restore, and its first re-solving observe wedged a worker.
+#[test]
+fn restoring_a_poisoned_snapshot_is_a_400() {
+    let registry = registry();
+    let (handle, join) = Server::spawn("127.0.0.1:0", Arc::clone(&registry)).expect("bind");
+    let addr = handle.addr();
+    let problem_json = serde_json::to_string(&problem().to_value()).unwrap();
+    let spec = format!("{{\"kind\":\"deadline\",\"problem\":{problem_json}}}");
+    let (_, body) = request(addr, "POST", "/campaigns", Some(&spec));
+    let id = num(&body, "id") as u64;
+    let (status, _) = request(addr, "POST", &format!("/campaigns/{id}/solve"), None);
+    assert_eq!(status, 200);
+    let snapshot_path = format!("/campaigns/{id}/snapshot");
+    let (status, snapshot) =
+        ft_server::client::request(addr, "GET", &snapshot_path, None).expect("snapshot");
+    assert_eq!(status, 200);
+    let arrivals = &problem().interval_arrivals;
+    let poisoned = snapshot.replace(
+        &serde_json::to_string(arrivals).unwrap(),
+        &serde_json::to_string(&vec![1e300; arrivals.len()]).unwrap(),
+    );
+    assert_ne!(poisoned, snapshot);
+    let (status, body) = request(addr, "POST", "/campaigns/restore", Some(&poisoned));
+    assert_eq!(status, 400, "{body:?}");
+    assert_eq!(text(&body, "error"), "invalid_problem");
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
 /// A body nested past the JSON parser's depth cap is a 400, not a stack
 /// overflow that aborts the node: a megabyte of `[` to a single and a
 /// bulk endpoint, then the server must still answer `/healthz`.

@@ -4,6 +4,9 @@
 use crate::special::{gamma_p, gamma_q, ln_factorial};
 use rand::Rng;
 
+/// Largest mean (exclusive) [`Poisson::truncation_point`] accepts: 2⁶².
+const MAX_TRUNCATION_MEAN: f64 = 4_611_686_018_427_387_904.0;
+
 /// Poisson distribution with mean `lambda ≥ 0`.
 ///
 /// `lambda == 0` is allowed and denotes the degenerate distribution at 0;
@@ -94,8 +97,19 @@ impl Poisson {
     /// the pass cannot reach `eps` (`exp(−λ)` underflows, or rounding
     /// holds its running tail above `eps`) the bracketed search over the
     /// same predicate decides instead.
+    ///
+    /// Panics unless `eps ∈ (0, 1)` and `λ < 2⁶²`. Below that bound the
+    /// bracketed search's first upper bound `⌈λ⌉ + 2` and its one
+    /// doubling (at most `2λ + 4`) fit in a `u64`; past 2⁶⁴ the bound
+    /// overflowed and the search never returned. The answer is exact
+    /// only while `s0` is an exact f64, i.e. below 2⁵³.
     pub fn truncation_point(&self, eps: f64) -> u64 {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
+        assert!(
+            self.lambda < MAX_TRUNCATION_MEAN,
+            "truncation point needs λ below 2⁶², got {}",
+            self.lambda
+        );
         if self.lambda == 0.0 {
             return 1;
         }
@@ -371,6 +385,16 @@ mod tests {
                 assert!(d.sf(s0) <= eps && d.sf(s0 - 1) > eps, "λ={lambda}, ε={eps}");
             }
         }
+    }
+
+    /// Past 2⁶² the bracketed search's bounds leave `u64`: the call
+    /// panics at once instead of overflowing (debug) or spinning forever
+    /// (release). Just inside the bound it still returns.
+    #[test]
+    #[should_panic(expected = "truncation point needs λ below 2⁶², got 100000000000000000000")]
+    fn truncation_point_refuses_means_past_its_bound() {
+        Poisson::new(MAX_TRUNCATION_MEAN / 2.0).truncation_point(1e-9);
+        Poisson::new(1e20).truncation_point(1e-9);
     }
 
     #[test]

@@ -34,10 +34,15 @@
 //! (`ft_metrics::Histogram::offer_exemplar`); the exemplar store keeps
 //! that slowest trace resolvable after the recent store has moved on.
 //!
+//! Every JSON view is a `serde` value tree written by `serde_json`, and
+//! [`merge_documents`] reads the per-process `GET /trace/{id}` bodies it
+//! stitches together back through `serde_json` too. The views are built
+//! only when one is requested, never on the tracing hot path.
+//!
 //! Span names follow the `<crate>.<component>.<verb>` grammar enforced
 //! by `ft-audit`'s L6 lint (e.g. `core.registry.quote`).
 
-use std::fmt::Write as _;
+use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// Maximum live span nesting per trace. Spans opened deeper are inert;
@@ -91,70 +96,56 @@ impl CompletedTrace {
         self.end_ns.saturating_sub(self.start_ns)
     }
 
-    /// Render the trace as a self-contained JSON object (the
-    /// `GET /trace/{id}` body).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160 + self.spans.len() * 144);
-        out.push_str("{\"trace_id\":\"");
-        let _ = write!(out, "{:016x}", self.trace_id);
-        out.push_str("\",\"op\":");
-        push_json_str(&mut out, self.op);
-        let _ = write!(
-            out,
-            ",\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{},\"spans\":[",
-            self.start_ns,
-            self.end_ns,
-            self.duration_ns()
-        );
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"span_id\":{},\"parent_id\":{},\"name\":",
-                span.span_id, span.parent_id
-            );
-            push_json_str(&mut out, span.name);
-            let _ = write!(
-                out,
-                ",\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{},\"tid\":{}}}",
-                span.start_ns,
-                span.end_ns,
-                span.duration_ns(),
-                span.tid
-            );
+    fn document(&self) -> TraceDocument {
+        let spans = self.spans.iter().map(|span| DocumentSpan {
+            span_id: span.span_id,
+            parent_id: span.parent_id,
+            name: span.name.to_owned(),
+            start_ns: span.start_ns,
+            end_ns: span.end_ns,
+            duration_ns: span.duration_ns(),
+            tid: span.tid,
+        });
+        TraceDocument {
+            trace_id: format_trace_id(self.trace_id),
+            op: self.op.to_owned(),
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            duration_ns: self.duration_ns(),
+            spans: spans.collect(),
         }
-        out.push_str("]}");
-        out
     }
 
-    /// Append this trace's spans as Chrome trace-event (`ph: "X"`)
-    /// objects — timestamps in fractional microseconds, as the format
-    /// requires.
-    fn push_chrome_events(&self, out: &mut String, first: &mut bool) {
-        for span in &self.spans {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str("{\"name\":");
-            push_json_str(out, span.name);
-            let _ = write!(
-                out,
-                ",\"cat\":\"ft\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{}",
-                span.start_ns as f64 / 1000.0,
-                span.duration_ns() as f64 / 1000.0,
-                span.tid
-            );
-            let _ = write!(
-                out,
-                ",\"args\":{{\"trace_id\":\"{:016x}\",\"span_id\":{},\"parent_id\":{},\"op\":",
-                span.trace_id, span.span_id, span.parent_id
-            );
-            push_json_str(out, self.op);
-            out.push_str("}}");
-        }
+    /// Render the trace as a self-contained JSON object (the
+    /// `GET /trace/{id}` body). JSON numbers are f64s here, so times
+    /// are exact below 2⁵³ ns (104 days of uptime).
+    pub fn to_json(&self) -> String {
+        write_json(&self.document())
+    }
+
+    /// This trace's spans as Chrome trace-event (`ph: "X"`) objects —
+    /// timestamps in fractional microseconds, as the format requires.
+    fn chrome_events(&self) -> impl Iterator<Item = Value> + '_ {
+        self.spans.iter().map(|span| {
+            object(vec![
+                ("name", span.name.to_value()),
+                ("cat", "ft".to_value()),
+                ("ph", "X".to_value()),
+                ("ts", (span.start_ns as f64 / 1000.0).to_value()),
+                ("dur", (span.duration_ns() as f64 / 1000.0).to_value()),
+                ("pid", 1u32.to_value()),
+                ("tid", span.tid.to_value()),
+                (
+                    "args",
+                    object(vec![
+                        ("trace_id", format_trace_id(span.trace_id).to_value()),
+                        ("span_id", span.span_id.to_value()),
+                        ("parent_id", span.parent_id.to_value()),
+                        ("op", self.op.to_value()),
+                    ]),
+                ),
+            ])
+        })
     }
 }
 
@@ -173,183 +164,54 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok().filter(|&id| id != 0)
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A `GET /trace/{id}` document: what [`CompletedTrace::to_json`]
+/// writes, and what [`merge_documents`] reads and writes.
+#[derive(Serialize, Deserialize)]
+struct TraceDocument {
+    trace_id: String,
+    op: String,
+    start_ns: u64,
+    end_ns: u64,
+    duration_ns: u64,
+    spans: Vec<DocumentSpan>,
+}
+
+/// One span of a [`TraceDocument`].
+#[derive(Serialize, Deserialize)]
+struct DocumentSpan {
+    span_id: u64,
+    parent_id: u64,
+    name: String,
+    start_ns: u64,
+    end_ns: u64,
+    duration_ns: u64,
+    tid: u64,
+}
+
+/// A JSON object with these fields, in this order.
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Map(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+fn write_json<T: Serialize>(document: &T) -> String {
+    serde_json::to_string(document).expect("serialize trace document")
 }
 
 /// Render a set of completed traces as one Chrome trace-event /
 /// Perfetto-compatible JSON document.
 fn chrome_document(traces: &[Arc<CompletedTrace>]) -> String {
-    let mut out = String::with_capacity(64 + traces.len() * 512);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    for trace in traces {
-        trace.push_chrome_events(&mut out, &mut first);
-    }
-    out.push_str("]}");
-    out
-}
-
-// ---- cross-process trace merging ------------------------------------
-//
-// A fleet front tier proxies one request across several processes;
-// each process records its own segment of the trace under the shared
-// trace id. `merge_documents` stitches the per-process `to_json`
-// documents into one tree: remote segments keep their internal
-// structure, their roots are reparented under the local root, and span
-// ids are offset so they stay unique. The parser below reads exactly
-// the format `CompletedTrace::to_json` emits — no general JSON
-// machinery, no dependencies.
-
-/// One span as parsed back out of a `to_json` document. Names are kept
-/// as raw JSON string tokens (quotes and escapes included) so merging
-/// never re-escapes.
-struct ParsedSpan<'a> {
-    span_id: u64,
-    parent_id: u64,
-    name_raw: &'a str,
-    start_ns: u64,
-    end_ns: u64,
-    tid: u64,
-}
-
-struct ParsedTrace<'a> {
-    trace_id_raw: &'a str,
-    op_raw: &'a str,
-    spans: Vec<ParsedSpan<'a>>,
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn lit(&mut self, expected: &str) -> Result<(), String> {
-        let end = self.at + expected.len();
-        if self.bytes.get(self.at..end) == Some(expected.as_bytes()) {
-            self.at = end;
-            Ok(())
-        } else {
-            Err(format!(
-                "trace document: expected `{expected}` at byte {}",
-                self.at
-            ))
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn num(&mut self) -> Result<u64, String> {
-        let start = self.at;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return Err(format!("trace document: expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("trace document: bad number at byte {start}"))
-    }
-
-    /// A JSON string, returned as its raw token (quotes included).
-    fn str_raw(&mut self, source: &'a str) -> Result<&'a str, String> {
-        let start = self.at;
-        self.lit("\"")?;
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(&source[start..self.at]);
-                }
-                Some(b'\\') => self.at += 2,
-                Some(_) => self.at += 1,
-                None => return Err("trace document: unterminated string".into()),
-            }
-        }
-    }
-}
-
-fn parse_document(doc: &str) -> Result<ParsedTrace<'_>, String> {
-    let mut c = Cursor {
-        bytes: doc.as_bytes(),
-        at: 0,
-    };
-    c.lit("{\"trace_id\":")?;
-    let trace_id_raw = c.str_raw(doc)?;
-    c.lit(",\"op\":")?;
-    let op_raw = c.str_raw(doc)?;
-    c.lit(",\"start_ns\":")?;
-    c.num()?;
-    c.lit(",\"end_ns\":")?;
-    c.num()?;
-    c.lit(",\"duration_ns\":")?;
-    c.num()?;
-    c.lit(",\"spans\":[")?;
-    let mut spans = Vec::new();
-    if c.peek() == Some(b']') {
-        c.at += 1;
-    } else {
-        loop {
-            c.lit("{\"span_id\":")?;
-            let span_id = c.num()?;
-            c.lit(",\"parent_id\":")?;
-            let parent_id = c.num()?;
-            c.lit(",\"name\":")?;
-            let name_raw = c.str_raw(doc)?;
-            c.lit(",\"start_ns\":")?;
-            let start_ns = c.num()?;
-            c.lit(",\"end_ns\":")?;
-            let end_ns = c.num()?;
-            c.lit(",\"duration_ns\":")?;
-            c.num()?;
-            c.lit(",\"tid\":")?;
-            let tid = c.num()?;
-            c.lit("}")?;
-            spans.push(ParsedSpan {
-                span_id,
-                parent_id,
-                name_raw,
-                start_ns,
-                end_ns,
-                tid,
-            });
-            match c.peek() {
-                Some(b',') => c.at += 1,
-                Some(b']') => {
-                    c.at += 1;
-                    break;
-                }
-                _ => return Err("trace document: bad spans array".into()),
-            }
-        }
-    }
-    c.lit("}")?;
-    Ok(ParsedTrace {
-        trace_id_raw,
-        op_raw,
-        spans,
-    })
+    let events = traces.iter().flat_map(|trace| trace.chrome_events());
+    write_json(&object(vec![
+        ("displayTimeUnit", "ns".to_value()),
+        ("traceEvents", Value::Seq(events.collect())),
+    ]))
 }
 
 /// Stitch per-process trace documents (each a `GET /trace/{id}` body
 /// for the **same** trace id) into one tree rooted at `local`'s root.
 ///
+/// A fleet front tier proxies one request across several processes,
+/// and each records its own segment of the trace under the shared id.
 /// Remote span ids are offset to stay unique; remote roots
 /// (`parent_id == 0`) are reparented under the local root; each remote
 /// segment's internal parent/child structure is preserved. Because the
@@ -360,74 +222,47 @@ fn parse_document(doc: &str) -> Result<ParsedTrace<'_>, String> {
 /// Errors if any document does not parse as `CompletedTrace::to_json`
 /// output.
 pub fn merge_documents(local: &str, remotes: &[String]) -> Result<String, String> {
-    let base = parse_document(local)?;
-    let local_root = base
+    let parse = |doc: &str| {
+        serde_json::from_str::<TraceDocument>(doc).map_err(|e| format!("trace document: {e}"))
+    };
+    let mut merged = parse(local)?;
+    let (root_id, root_start) = merged
         .spans
         .iter()
         .find(|s| s.parent_id == 0)
         .map(|s| (s.span_id, s.start_ns))
         .ok_or_else(|| "trace document: local trace has no root span".to_string())?;
-    let mut spans: Vec<ParsedSpan<'_>> = base.spans;
-    let mut next_offset: u64 = spans.iter().map(|s| s.span_id).max().unwrap_or(0);
-    let mut parsed_remotes = Vec::with_capacity(remotes.len());
+    let mut next_offset = merged.spans.iter().map(|s| s.span_id).max().unwrap_or(0);
     for remote in remotes {
-        parsed_remotes.push(parse_document(remote)?);
-    }
-    for remote in &parsed_remotes {
+        let remote = parse(remote)?;
         let offset = next_offset;
         let rebase = remote.spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-        for span in &remote.spans {
-            next_offset = next_offset.max(span.span_id + offset);
-            spans.push(ParsedSpan {
-                span_id: span.span_id + offset,
-                parent_id: if span.parent_id == 0 {
-                    local_root.0
-                } else {
-                    span.parent_id + offset
-                },
-                name_raw: span.name_raw,
-                start_ns: span.start_ns - rebase + local_root.1,
-                end_ns: span.end_ns - rebase + local_root.1,
-                tid: span.tid,
-            });
+        for mut span in remote.spans {
+            span.span_id += offset;
+            next_offset = next_offset.max(span.span_id);
+            span.parent_id = if span.parent_id == 0 {
+                root_id
+            } else {
+                span.parent_id + offset
+            };
+            span.start_ns = span.start_ns - rebase + root_start;
+            span.end_ns = span.end_ns - rebase + root_start;
+            merged.spans.push(span);
         }
     }
-    spans.sort_by_key(|s| (s.start_ns, s.span_id));
-    let start_ns = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-    let end_ns = spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
-    let mut out = String::with_capacity(160 + spans.len() * 144);
-    let _ = write!(
-        out,
-        "{{\"trace_id\":{},\"op\":{},\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{},\"spans\":[",
-        base.trace_id_raw,
-        base.op_raw,
-        start_ns,
-        end_ns,
-        end_ns.saturating_sub(start_ns)
-    );
-    for (i, span) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"span_id\":{},\"parent_id\":{},\"name\":{},\"start_ns\":{},\"end_ns\":{},\
-             \"duration_ns\":{},\"tid\":{}}}",
-            span.span_id,
-            span.parent_id,
-            span.name_raw,
-            span.start_ns,
-            span.end_ns,
-            span.end_ns.saturating_sub(span.start_ns),
-            span.tid
-        );
-    }
-    out.push_str("]}");
-    Ok(out)
+    merged.spans.sort_by_key(|s| (s.start_ns, s.span_id));
+    merged.start_ns = merged.spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+    merged.end_ns = merged.spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
+    merged.duration_ns = merged.end_ns.saturating_sub(merged.start_ns);
+    Ok(write_json(&merged))
 }
 
 mod imp {
-    use super::{chrome_document, CompletedTrace, SpanRecord, MAX_DEPTH, SPAN_BUDGET};
+    use super::{
+        chrome_document, format_trace_id, object, write_json, CompletedTrace, SpanRecord,
+        MAX_DEPTH, SPAN_BUDGET,
+    };
+    use serde::{Serialize, Value};
     use std::cell::RefCell;
     use std::collections::{HashMap, VecDeque};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -817,35 +652,18 @@ mod imp {
     /// `GET /trace/recent` body: newest-first traces plus the exemplar
     /// index (`op` → slowest trace ids).
     pub fn recent_json(limit: usize) -> String {
-        let traces = recent(limit);
-        let mut out = String::with_capacity(64 + traces.len() * 256);
-        out.push_str("{\"traces\":[");
-        for (i, trace) in traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&trace.to_json());
-        }
-        out.push_str("],\"exemplars\":{");
-        for (i, (op, traces)) in exemplars().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            super::push_json_str(&mut out, op);
-            out.push_str(":[");
-            for (j, trace) in traces.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!("\"{:016x}\"", trace.trace_id),
-                );
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
-        out
+        let traces = recent(limit)
+            .iter()
+            .map(|t| t.document().to_value())
+            .collect();
+        let exemplars = exemplars().into_iter().map(|(op, traces)| {
+            let ids = traces.iter().map(|t| format_trace_id(t.trace_id));
+            (op.to_owned(), ids.collect::<Vec<_>>().to_value())
+        });
+        write_json(&object(vec![
+            ("traces", Value::Seq(traces)),
+            ("exemplars", Value::Map(exemplars.collect())),
+        ]))
     }
 
     /// `GET /trace/export` / `--trace-out` body: every stored trace as
@@ -900,6 +718,80 @@ mod tests {
         .to_json()
     }
 
+    /// A three-span trace whose documents below were captured from the
+    /// hand-written writer serde_json replaced.
+    fn pinned_trace() -> CompletedTrace {
+        let trace_id = 0x00c0_ffee_0000_002a;
+        let span = |span_id, parent_id, name, start_ns, end_ns| SpanRecord {
+            trace_id,
+            span_id,
+            parent_id,
+            name,
+            start_ns,
+            end_ns,
+            tid: 3,
+        };
+        CompletedTrace {
+            trace_id,
+            op: "campaign_price",
+            start_ns: 1_000,
+            end_ns: 1_234_567_891,
+            spans: vec![
+                span(1, 0, "server.request.serve", 1_000, 1_234_567_891),
+                span(2, 1, "server.reactor.queue_wait", 1_000, 1_500),
+                span(3, 1, "core.registry.quote", 2_000, 4_000_007),
+            ],
+        }
+    }
+
+    #[test]
+    fn to_json_is_byte_identical_to_the_old_writer() {
+        assert_eq!(
+            pinned_trace().to_json(),
+            concat!(
+                r#"{"trace_id":"00c0ffee0000002a","op":"campaign_price","start_ns":1000,"#,
+                r#""end_ns":1234567891,"duration_ns":1234566891,"spans":["#,
+                r#"{"span_id":1,"parent_id":0,"name":"server.request.serve","start_ns":1000,"#,
+                r#""end_ns":1234567891,"duration_ns":1234566891,"tid":3},"#,
+                r#"{"span_id":2,"parent_id":1,"name":"server.reactor.queue_wait","#,
+                r#""start_ns":1000,"end_ns":1500,"duration_ns":500,"tid":3},"#,
+                r#"{"span_id":3,"parent_id":1,"name":"core.registry.quote","start_ns":2000,"#,
+                r#""end_ns":4000007,"duration_ns":3998007,"tid":3}]}"#,
+            )
+        );
+    }
+
+    /// The export keeps the old writer's keys and event order, and its
+    /// times parse to the same f64s as the old three-decimal text
+    /// (`1.000`, `0.500`); only the trailing zeros go.
+    #[test]
+    fn chrome_export_times_parse_as_the_old_fixed_point_text() {
+        let trace = pinned_trace();
+        let chrome = chrome_document(&[Arc::new(pinned_trace())]);
+        assert!(chrome.starts_with(concat!(
+            r#"{"displayTimeUnit":"ns","traceEvents":[{"name":"server.request.serve","#,
+            r#""cat":"ft","ph":"X","ts":1,"dur":1234566.891,"pid":1,"tid":3,"#,
+            r#""args":{"trace_id":"00c0ffee0000002a","span_id":1,"parent_id":0,"#,
+            r#""op":"campaign_price"}},{"name":"server.reactor.queue_wait","#,
+        )));
+        let doc: Value = serde_json::from_str(&chrome).unwrap();
+        let events = serde::map_get(doc.as_map().unwrap(), "traceEvents").unwrap();
+        let events = events.as_seq().unwrap();
+        assert_eq!(events.len(), trace.spans.len());
+        let field = |event: &Value, key| {
+            let value = serde::map_get(event.as_map().unwrap(), key).unwrap();
+            value.as_num().unwrap().to_bits()
+        };
+        let fixed_point = |ns: u64| format!("{:.3}", ns as f64 / 1000.0).parse::<f64>().unwrap();
+        for (event, span) in events.iter().zip(&trace.spans) {
+            assert_eq!(field(event, "ts"), fixed_point(span.start_ns).to_bits());
+            assert_eq!(
+                field(event, "dur"),
+                fixed_point(span.duration_ns()).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn merge_reparents_remote_roots_under_the_local_root() {
         let local = doc(
@@ -926,8 +818,8 @@ mod tests {
             vec![(1, 0, "server.request.serve", 5, 25)],
         );
         let merged = merge_documents(&local, &[remote_a, remote_b]).unwrap();
-        let parsed = parse_document(&merged).unwrap();
-        assert_eq!(parsed.trace_id_raw, "\"0000000000000007\"");
+        let parsed: TraceDocument = serde_json::from_str(&merged).unwrap();
+        assert_eq!(parsed.trace_id, "0000000000000007");
         assert_eq!(parsed.spans.len(), 5);
         // Ids unique; every remote root now hangs off local span 1.
         let mut ids: Vec<u64> = parsed.spans.iter().map(|s| s.span_id).collect();
@@ -937,7 +829,7 @@ mod tests {
         let reparented = parsed
             .spans
             .iter()
-            .filter(|s| s.name_raw == "\"server.request.serve\"")
+            .filter(|s| s.name == "server.request.serve")
             .collect::<Vec<_>>();
         assert_eq!(reparented.len(), 2);
         assert!(reparented.iter().all(|s| s.parent_id == 1));
@@ -946,14 +838,14 @@ mod tests {
         let quote = parsed
             .spans
             .iter()
-            .find(|s| s.name_raw == "\"core.registry.quote\"")
+            .find(|s| s.name == "core.registry.quote")
             .unwrap();
         let remote_root = parsed
             .spans
             .iter()
             .find(|s| s.span_id == quote.parent_id)
             .unwrap();
-        assert_eq!(remote_root.name_raw, "\"server.request.serve\"");
+        assert_eq!(remote_root.name, "server.request.serve");
         assert_eq!(remote_root.parent_id, 1);
         // Remote timelines are rebased into the local window, and the
         // merged envelope still covers every span.

@@ -8,9 +8,14 @@ their default sizing), then run this. It checks that:
 
 - a bad request line, a 20 KB header block, `Content-Length: abc`,
   `Content-Length: 99999999999`, 1 MB of `[` posted to
-  `/campaigns/quotes`, and a deadline spec whose first interval expects
-  10^300 worker arrivals posted to `/campaigns` each get a 4xx from the
-  node and from the router;
+  `/campaigns/quotes`, and three specs posted to `/campaigns` each get
+  a 4xx from the node and from the router. The specs are a deadline
+  spec whose first interval expects 10^300 worker arrivals, a deadline
+  spec for 4*10^9 tasks, and the paper's budget spec with a budget of
+  10^15 cents; a solve of the last two would not fit in memory;
+- the snapshot of a solved campaign, with every interval's arrivals
+  rewritten to 10^300, gets a 4xx from the node's `/campaigns/restore`
+  (the router refuses every restore);
 - with 16 connections trickling one byte per second, the router still
   answers `GET /healthz` within 2 s;
 - both still answer `GET /healthz` with 200 at the end.
@@ -18,6 +23,7 @@ their default sizing), then run this. It checks that:
 Exits non-zero with a message on the first failed check.
 """
 
+import json
 import socket
 import sys
 import threading
@@ -32,6 +38,46 @@ HUGE_ARRIVALS = (
     b'"interval_arrivals":[1e300,50,50],'
     b'"actions":{"actions":[{"reward":1,"accept":0.1},{"reward":2,"accept":0.2}]},'
     b'"penalty":{"Linear":{"per_task":500}}}}'
+)
+
+
+
+def spec(kind, problem):
+    return json.dumps({"kind": kind, "problem": problem}).encode()
+
+
+# Under 1 KB on the wire, but its solve would allocate terabytes.
+BILLION_TASKS = spec(
+    "deadline",
+    {
+        "n_tasks": 4_000_000_000,
+        "interval_arrivals": [50, 50, 50],
+        "actions": {"actions": [{"reward": c, "accept": 0.03 + 0.035 * c} for c in range(16)]},
+        "penalty": {"Linear": {"per_task": 500}},
+    },
+)
+
+# The paper's budget campaign (N = 200 tasks, prices 1-40 cents) with a
+# 10^15-cent budget: a 201 x (10^15 + 1)-cell table.
+HUGE_BUDGET = spec(
+    "budget",
+    {
+        "n_tasks": 200,
+        "budget": 1e15,
+        "actions": {"actions": [{"reward": c, "accept": 0.0008 * 1.07**c} for c in range(1, 41)]},
+        "mean_rate": 5100,
+    },
+)
+
+# A small deadline campaign whose snapshot the restore check poisons.
+SMALL_DEADLINE = spec(
+    "deadline",
+    {
+        "n_tasks": 20,
+        "interval_arrivals": [50, 50, 50],
+        "actions": {"actions": [{"reward": 1, "accept": 0.1}, {"reward": 2, "accept": 0.2}]},
+        "penalty": {"Linear": {"per_task": 500}},
+    },
 )
 
 
@@ -64,6 +110,8 @@ HOSTILE = [
     ),
     ("1 MB of [ to /campaigns/quotes", post(b"/campaigns/quotes", NESTED)),
     ("10^300 arrivals to /campaigns", post(b"/campaigns", HUGE_ARRIVALS)),
+    ("4*10^9 tasks to /campaigns", post(b"/campaigns", BILLION_TASKS)),
+    ("10^15-cent budget to /campaigns", post(b"/campaigns", HUGE_BUDGET)),
 ]
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
@@ -93,6 +141,38 @@ def status_of(addr, payload, timeout):
     if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdigit():
         raise RuntimeError(f"no HTTP status line: {line!r}")
     return int(parts[1])
+
+
+def exchange(addr, payload, timeout=10):
+    """Send `payload` on a closing connection; return (status, body)."""
+    with socket.create_connection(endpoint(addr), timeout=timeout) as sock:
+        sock.sendall(payload)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+def poisoned_snapshot(node):
+    """Create and solve a small campaign on `node`, and return its
+    snapshot with every interval's arrivals rewritten to 10^300."""
+    status, body = exchange(node, post(b"/campaigns", SMALL_DEADLINE))
+    if status != 201:
+        raise RuntimeError(f"create got {status}: {body!r}")
+    cid = json.loads(body)["id"]
+    status, body = exchange(node, post(b"/campaigns/%d/solve" % cid, b""))
+    if status != 200:
+        raise RuntimeError(f"solve got {status}: {body!r}")
+    snapshot_get = b"GET /campaigns/%d/snapshot HTTP/1.1\r\nConnection: close\r\n\r\n" % cid
+    status, body = exchange(node, snapshot_get)
+    if status != 200:
+        raise RuntimeError(f"snapshot got {status}: {body!r}")
+    snapshot = json.loads(body)
+    for campaign in snapshot["campaigns"]:
+        problem = campaign["spec"]["Deadline"]["problem"]
+        problem["interval_arrivals"] = [1e300] * len(problem["interval_arrivals"])
+    return json.dumps(snapshot).encode()
 
 
 def trickle(addr, stop):
@@ -127,6 +207,18 @@ def main():
             print(f"{tier:6} {name:32} -> {status} {verdict}")
             if verdict != "ok":
                 failures.append(f"{tier}: {name}: got {status}, want a 4xx")
+
+    name = "poisoned snapshot to /campaigns/restore"
+    try:
+        restore = post(b"/campaigns/restore", poisoned_snapshot(targets["node"]))
+        status = status_of(targets["node"], restore, timeout=10)
+    except (OSError, RuntimeError, ValueError, KeyError) as e:
+        failures.append(f"node: {name}: {e}")
+    else:
+        verdict = "ok" if 400 <= status < 500 else "FAIL"
+        print(f"{'node':6} {name:32} -> {status} {verdict}")
+        if verdict != "ok":
+            failures.append(f"node: {name}: got {status}, want a 4xx")
 
     stop = threading.Event()
     tricklers = [
