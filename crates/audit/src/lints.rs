@@ -196,8 +196,9 @@ fn lint_l2_ordering(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// L3: raw thread creation is reserved for the ft-exec pool and the
-/// server's spawn points; everything else rides the shared pool.
+/// L3: raw thread creation is reserved for the ft-exec pool and
+/// ft-server's reactor thread (which every tier starts through);
+/// everything else rides the shared pool.
 /// Violations are suppressed per-file via `scripts/audit_allow.json`.
 /// Scoped `thread::scope` spawns are structured (joined before return)
 /// and stay legal.
@@ -211,7 +212,7 @@ fn lint_l3_thread_spawn(file: &SourceFile, findings: &mut Vec<Finding>) {
                 "L3",
                 &file.rel_path,
                 idx + 1,
-                "raw thread creation outside the sanctioned spawn points (ft-exec pool, server reactor, router reactor)",
+                "raw thread creation outside the sanctioned spawn points (ft-exec pool, ft-server's reactor thread)",
             ));
         }
     }

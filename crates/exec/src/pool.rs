@@ -312,13 +312,15 @@ thread_local! {
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
-/// Artificial dispatcher delay in nanoseconds — the slow-worker test
-/// harness. A non-zero value makes every dispatcher dawdle between
-/// publishing work and racing to run it (fan-out: before claiming
-/// indices; join: before the steal-back CAS), which reliably hands the
-/// published jobs to thieves. Scheduling perturbation only: results
-/// must be bitwise identical with it on, which is exactly what the
-/// forced-steal fingerprint tests assert.
+/// Dispatcher patience in nanoseconds — the slow-worker test harness.
+/// A non-zero value makes every dispatcher wait between publishing
+/// work and racing to run it (fan-out: before claiming indices; join:
+/// before the steal-back CAS) until another worker has claimed the
+/// published job, or until this long has passed. A thief that the
+/// host schedules late still wins, so a test that sets a patience far
+/// above any scheduling delay sees its steal every time. Scheduling
+/// perturbation only: results must be bitwise identical with it on,
+/// which is exactly what the forced-steal fingerprint tests assert.
 static DISPATCH_DELAY_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Test-only global knob; see [`DISPATCH_DELAY_NS`]. Not part of the
@@ -329,12 +331,18 @@ pub fn set_dispatch_delay_for_tests(nanos: u64) {
     DISPATCH_DELAY_NS.store(nanos, Ordering::Relaxed);
 }
 
+/// Wait out the test knob's patience, or less once `claimed()` says a
+/// thief took the published job.
 #[inline]
-fn dispatch_delay() {
+fn dispatch_delay(claimed: impl Fn() -> bool) {
     // ORDERING: Relaxed — see `set_dispatch_delay_for_tests`.
     let ns = DISPATCH_DELAY_NS.load(Ordering::Relaxed);
-    if ns > 0 {
-        std::thread::sleep(std::time::Duration::from_nanos(ns));
+    if ns == 0 {
+        return;
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_nanos(ns);
+    while !claimed() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_micros(20));
     }
 }
 
@@ -619,7 +627,9 @@ impl Pool {
         for _ in 0..helpers {
             self.shared.submit(Arc::clone(&batch) as Arc<dyn PoolJob>);
         }
-        dispatch_delay();
+        // ORDERING: Relaxed — a hint to stop waiting; the index
+        // dispenser itself hands each index out once.
+        dispatch_delay(|| batch.next.load(Ordering::Relaxed) > 0);
         batch.work();
         let mut done = batch.complete.lock().expect("ft-exec batch poisoned");
         while !*done {
@@ -678,7 +688,9 @@ impl Pool {
         self.shared.submit(Arc::clone(&cell) as Arc<dyn PoolJob>);
 
         let ra = catch_unwind(AssertUnwindSafe(a));
-        dispatch_delay();
+        // ORDERING: Relaxed — a hint to stop waiting; the swap below
+        // arbitrates the claim.
+        dispatch_delay(|| cell.claimed.load(Ordering::Relaxed));
         // ORDERING: AcqRel pairs with the identical swap in
         // `JoinCell::run` — exactly one side wins the claim, and the
         // winner's subsequent access to the task/result slots must not
@@ -1107,7 +1119,9 @@ mod tests {
         let pool = Pool::new(3); // 2 workers: one dispatcher, one thief
         let before = pool.steals();
         let test_thread = std::thread::current().id();
-        set_dispatch_delay_for_tests(2_000_000); // 2ms: thieves win
+        // Patience far above any scheduling delay: the dispatcher waits
+        // until the other worker has stolen `b`.
+        set_dispatch_delay_for_tests(10_000_000_000);
         let out = pool.run_on_worker(|| {
             pool.join(
                 || std::thread::current().id(),
@@ -1136,7 +1150,7 @@ mod tests {
         let _knob = DELAY_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let pool = Pool::new(3);
         let before = pool.steals();
-        set_dispatch_delay_for_tests(2_000_000);
+        set_dispatch_delay_for_tests(10_000_000_000);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run_on_worker(|| {
                 pool.join(

@@ -7,7 +7,7 @@
 //! Prints `listening on HOST:PORT` once bound (the fleet scripts and
 //! CI wait on that line).
 
-use ft_router::{Router, RouterConfig};
+use ft_router::RouterConfig;
 use std::net::SocketAddr;
 use std::process::exit;
 
@@ -59,7 +59,7 @@ fn main() {
         eprintln!("at least one --backends address is required");
         usage();
     }
-    let router = match Router::bind(&addr, backends, config) {
+    let router = match ft_router::bind(&addr, backends, config) {
         Ok(router) => router,
         Err(e) => {
             eprintln!("bind {addr}: {e}");
@@ -67,8 +67,5 @@ fn main() {
         }
     };
     println!("listening on {}", router.local_addr());
-    if let Err(e) = router.serve() {
-        eprintln!("router: {e}");
-        exit(1);
-    }
+    router.serve();
 }

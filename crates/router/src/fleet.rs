@@ -52,7 +52,6 @@ impl Membership {
 
 pub struct Fleet {
     backends: Vec<SocketAddr>,
-    replicas: usize,
     membership: RwLock<Membership>,
     /// Last known-good snapshot document per campaign (the failover
     /// checkpoint). Refreshed on create, solve, recalibration and
@@ -63,17 +62,16 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    pub fn new(backends: Vec<SocketAddr>, replicas: usize) -> Self {
+    pub fn new(backends: Vec<SocketAddr>) -> Self {
         assert!(!backends.is_empty(), "a fleet needs at least one backend");
         let nodes: Vec<usize> = (0..backends.len()).collect();
         let telemetry = RouterTelemetry::new();
         telemetry.nodes_alive.set(backends.len() as i64);
         Self {
-            replicas,
             membership: RwLock::new(Membership {
                 alive: vec![true; backends.len()],
                 draining: vec![false; backends.len()],
-                ring: Ring::build(&nodes, replicas),
+                ring: Ring::build(&nodes),
             }),
             backends,
             snapshots: Mutex::new(HashMap::new()),
@@ -203,7 +201,7 @@ impl Fleet {
         let old_ring = m.ring.clone();
         m.alive[node] = false;
         m.draining[node] = false;
-        m.ring = Ring::build(&m.alive_indices(), self.replicas);
+        m.ring = Ring::build(&m.alive_indices());
         self.telemetry.failovers.inc();
         self.telemetry
             .nodes_alive
@@ -295,7 +293,7 @@ impl Fleet {
         let mut m = self.membership.write().expect("membership lock poisoned");
         m.alive[node] = false;
         m.draining[node] = false;
-        m.ring = Ring::build(&m.alive_indices(), self.replicas);
+        m.ring = Ring::build(&m.alive_indices());
         self.telemetry
             .nodes_alive
             .set(m.alive_indices().len() as i64);

@@ -20,11 +20,13 @@
 //!   owner and reassemble in input order; `x-ft-trace` ids propagate
 //!   end to end and `GET /trace/{id}` stitches the per-process span
 //!   trees into one tree.
-//! - **Serving** ([`server`]): the node's epoll reactor
-//!   ([`ft_server::serve`]) with the [`Fleet`] as its service — the
-//!   same parser, idle deadlines and `503 server_busy` overload
-//!   contract as a node — and one backend connection set per worker
-//!   thread.
+//! - **Serving** ([`server`]): [`bind`] returns an ft-server
+//!   [`ft_server::Server`] with the [`Fleet`] as its service, started
+//!   and stopped exactly as a node is. The node's reactor parses,
+//!   queues and records every request: the same parser, idle
+//!   deadlines, `503 server_busy` overload contract and per-endpoint
+//!   instruments (here `ft_router_*`, status classes included) as a
+//!   node, and one backend connection set per worker thread.
 //!
 //! The router adds two routes of its own: `GET /fleet` (membership
 //! rows) and `POST /fleet/drain?node=N` (planned migration). Node
@@ -38,5 +40,6 @@ pub mod server;
 pub mod telemetry;
 
 pub use fleet::Fleet;
-pub use ring::{Ring, DEFAULT_REPLICAS};
-pub use server::{Router, RouterConfig, RouterHandle};
+pub use proxy::Route;
+pub use ring::{Ring, REPLICAS};
+pub use server::{bind, RouterConfig};

@@ -21,18 +21,12 @@
 //!   errors intact, so a client cannot tell the fleet from one node.
 
 use crate::fleet::Fleet;
-use crate::telemetry::RouterTelemetry;
 use ft_metrics::{histogram_snapshot_value, HistogramSnapshot};
 use ft_server::http::{Request, Response};
-use ft_server::{Client, Endpoint};
+use ft_server::{Client, Endpoint, MAX_BULK_ITEMS};
 use serde::{map_get, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-
-/// Mirror of the serving tier's bulk cap: the router enforces it
-/// before splitting so an oversized batch fails identically on fleet
-/// and single node.
-const MAX_BULK_ITEMS: usize = 1024;
 
 /// Re-route attempts for a placed request before giving up. Two
 /// failovers mid-request is already a catastrophic fleet; the bound
@@ -123,37 +117,65 @@ fn percent_encode(out: &mut String, s: &str) {
     }
 }
 
-/// Route one request. Mirrors the serving tier's `handle`: one
-/// classification, one metrics record on the way out, and the trace id
-/// echoed. The reactor has already opened the request's root span
-/// (`router.request.serve`).
-pub fn handle(fleet: &Fleet, conns: &mut Connections, request: &Request) -> Response {
-    let started = std::time::Instant::now();
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    let (slot, mut response) = match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["fleet"]) => (
-            RouterTelemetry::fleet_slot("fleet_status"),
-            fleet_status(fleet),
-        ),
-        ("POST", ["fleet", "drain"]) => (
-            RouterTelemetry::fleet_slot("fleet_drain"),
-            fleet_drain(fleet, request),
-        ),
-        _ => {
-            let endpoint = Endpoint::classify(request);
-            ft_trace::set_current_op(endpoint.label());
-            (
-                RouterTelemetry::slot(endpoint),
-                dispatch(fleet, conns, endpoint, request),
-            )
+/// What the router tells apart: a node endpoint (proxied, fanned out,
+/// split or answered here), or one of the router's own fleet routes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    Node(Endpoint),
+    /// `GET /fleet`.
+    FleetStatus,
+    /// `POST /fleet/drain?node=N`.
+    FleetDrain,
+}
+
+impl Route {
+    /// Classify a request (the node's table, plus the fleet routes).
+    pub(crate) fn classify(request: &Request) -> Route {
+        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+        match (request.method.as_str(), segments.as_slice()) {
+            ("GET", ["fleet"]) => Route::FleetStatus,
+            ("POST", ["fleet", "drain"]) => Route::FleetDrain,
+            _ => Route::Node(Endpoint::classify(request)),
         }
-    };
-    let trace_id = ft_trace::current_trace_id();
-    fleet
-        .telemetry
-        .record(slot, response.status, started.elapsed(), trace_id);
-    response.trace = request.trace.or(trace_id);
-    response
+    }
+
+    /// Every route, in slot order.
+    pub fn all() -> impl Iterator<Item = Route> {
+        Endpoint::ALL
+            .into_iter()
+            .map(Route::Node)
+            .chain([Route::FleetStatus, Route::FleetDrain])
+    }
+
+    /// Index of this route's instruments in the router's
+    /// [`ft_server::TierTelemetry::endpoints`].
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            Route::Node(endpoint) => endpoint as usize,
+            Route::FleetStatus => Endpoint::ALL.len(),
+            Route::FleetDrain => Endpoint::ALL.len() + 1,
+        }
+    }
+
+    /// The `endpoint` label value in metric names.
+    pub fn label(self) -> &'static str {
+        match self {
+            Route::Node(endpoint) => endpoint.label(),
+            Route::FleetStatus => "fleet_status",
+            Route::FleetDrain => "fleet_drain",
+        }
+    }
+}
+
+/// Answer one classified request. The reactor has already opened its
+/// root span (`router.request.serve`), and records it once this
+/// returns.
+pub fn handle(fleet: &Fleet, conns: &mut Connections, route: Route, request: &Request) -> Response {
+    match route {
+        Route::FleetStatus => fleet_status(fleet),
+        Route::FleetDrain => fleet_drain(fleet, request),
+        Route::Node(endpoint) => dispatch(fleet, conns, endpoint, request),
+    }
 }
 
 fn dispatch(
@@ -862,4 +884,16 @@ fn remap_bulk_error(body: &str, indices: &[usize]) -> String {
         })
         .collect();
     serde_json::to_string(&Value::Map(rewritten)).unwrap_or_else(|_| body.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Route;
+
+    #[test]
+    fn slots_index_all_routes() {
+        for (slot, route) in Route::all().enumerate() {
+            assert_eq!(route.slot(), slot, "{route:?}");
+        }
+    }
 }

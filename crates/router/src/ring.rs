@@ -1,7 +1,7 @@
 //! A consistent-hash ring with virtual nodes.
 //!
 //! Campaigns are placed on backends by hashing the campaign id onto a
-//! ring of `replicas` virtual points per node and walking clockwise to
+//! ring of [`REPLICAS`] virtual points per node and walking clockwise to
 //! the first point. The payoff over `id % N` is **stability**: removing
 //! a node reassigns only the keys that node owned (each to the next
 //! point clockwise, spread across survivors by the virtual points), and
@@ -14,7 +14,7 @@
 /// max/min node share ratio stays within ~2x for small fleets, and
 /// removal scatters a dead node's keys across every survivor instead
 /// of dumping them on one neighbour.
-pub const DEFAULT_REPLICAS: usize = 64;
+pub const REPLICAS: usize = 64;
 
 /// Fibonacci multiplicative mix (the registry's shard hash): spreads
 /// sequential ids across the ring; the high 32 bits are the ring
@@ -25,8 +25,8 @@ fn mix(x: u64) -> u32 {
 
 /// Position of virtual point `replica` of `node`: two multiplicative
 /// rounds with an xor-fold between them. One round would make node 0's
-/// points `mix(1..=replicas)` — the exact key positions of the first
-/// `replicas` sequential campaign ids — parking every early campaign
+/// points `mix(1..=REPLICAS)` — the exact key positions of the first
+/// `REPLICAS` sequential campaign ids — parking every early campaign
 /// on node 0. The extra round keeps the point set and the key hash
 /// decorrelated.
 fn point(node: usize, replica: usize) -> u32 {
@@ -47,11 +47,11 @@ pub struct Ring {
 
 impl Ring {
     /// Build a ring over `nodes` (stable indices into the caller's
-    /// backend table) with `replicas` virtual points each.
-    pub fn build(nodes: &[usize], replicas: usize) -> Self {
-        let mut points = Vec::with_capacity(nodes.len() * replicas);
+    /// backend table) with [`REPLICAS`] virtual points each.
+    pub fn build(nodes: &[usize]) -> Self {
+        let mut points = Vec::with_capacity(nodes.len() * REPLICAS);
         for &node in nodes {
-            for replica in 0..replicas {
+            for replica in 0..REPLICAS {
                 points.push((point(node, replica), node));
             }
         }
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn routes_are_deterministic_and_covering() {
-        let ring = Ring::build(&[0, 1, 2], DEFAULT_REPLICAS);
+        let ring = Ring::build(&[0, 1, 2]);
         let mut seen = [0usize; 3];
         for id in 1..=3000u64 {
             let node = ring.route(id).unwrap();
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn empty_ring_routes_nowhere() {
-        assert_eq!(Ring::build(&[], DEFAULT_REPLICAS).route(7), None);
-        assert!(Ring::build(&[], DEFAULT_REPLICAS).is_empty());
+        assert_eq!(Ring::build(&[]).route(7), None);
+        assert!(Ring::build(&[]).is_empty());
     }
 }

@@ -1,22 +1,24 @@
 //! The router's serving loop: `ft-server`'s epoll reactor, serving the
 //! [`Fleet`].
 //!
-//! One reactor thread multiplexes every client connection and hands
-//! parsed requests to `workers` handler threads, exactly as on a node:
-//! the same parser, deadlines and overload contract (`503 server_busy`
-//! past `workers + queue_depth` requests in flight). Each worker owns
+//! [`bind`] returns an ft-server [`Server`] whose service is the fleet,
+//! so the router serves and starts exactly as a node does:
+//! [`Server::serve`] on the calling thread, or [`Server::start`] on a
+//! background thread with a [`ft_server::ServerHandle`] to stop it. One
+//! reactor thread multiplexes every client connection and hands parsed
+//! requests to `workers` handler threads: the same parser, deadlines
+//! and overload contract (`503 server_busy` past `workers +
+//! queue_depth` requests in flight), and the same per-request
+//! recording, under the router's `ft_router_*` names. Each worker owns
 //! one keep-alive [`Connections`] set to the backends, so backend
-//! connection state is per-thread and needs no locking. Shutdown is the
-//! node's idiom: flip an `AtomicBool`, then connect once to wake the
-//! reactor.
+//! connection state is per-thread and needs no locking.
 
 use crate::fleet::Fleet;
-use crate::proxy::{self, Connections};
+use crate::proxy::{self, Connections, Route};
 use ft_server::http::{Request, Response};
-use ft_server::{ServerConfig, Service, TierTelemetry};
+use ft_server::{Server, ServerConfig, Service, TierTelemetry};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -25,29 +27,30 @@ pub struct RouterConfig {
     /// backend, so the fleet sees at most `workers × nodes` proxy
     /// connections.
     pub workers: usize,
-    /// Virtual points per node on the placement ring.
-    pub replicas: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        Self {
-            workers: 16,
-            replicas: crate::ring::DEFAULT_REPLICAS,
-        }
+        Self { workers: 16 }
     }
 }
 
 impl Service for Fleet {
     type Worker = Connections;
+    type Route = Route;
     const ROOT_SPAN: &'static str = "router.request.serve";
 
     fn worker(&self) -> Connections {
         Connections::new(self.backends())
     }
 
-    fn handle(&self, conns: &mut Connections, request: &Request) -> Response {
-        proxy::handle(self, conns, request)
+    fn route(&self, request: &Request) -> (Route, usize) {
+        let route = Route::classify(request);
+        (route, route.slot())
+    }
+
+    fn handle(&self, conns: &mut Connections, route: Route, request: &Request) -> Response {
+        proxy::handle(self, conns, route, request)
     }
 
     fn tier(&self) -> &TierTelemetry {
@@ -55,85 +58,16 @@ impl Service for Fleet {
     }
 }
 
-pub struct Router {
-    listener: TcpListener,
-    addr: SocketAddr,
-    fleet: Arc<Fleet>,
+/// Bind a router over `backends` to `addr` (port 0 for an ephemeral
+/// port), not yet serving.
+pub fn bind(
+    addr: &str,
+    backends: Vec<SocketAddr>,
     config: RouterConfig,
-}
-
-/// Handle returned by [`Router::spawn`]; dropping it does **not** stop
-/// the router — call [`RouterHandle::shutdown`].
-pub struct RouterHandle {
-    addr: SocketAddr,
-    fleet: Arc<Fleet>,
-    stop: Arc<AtomicBool>,
-}
-
-impl RouterHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub fn fleet(&self) -> &Arc<Fleet> {
-        &self.fleet
-    }
-
-    /// Stop accepting and wake the reactor. Idempotent.
-    pub fn shutdown(&self) {
-        // ORDERING: Release pairs with the Acquire loads in
-        // `ft_server::serve` — the reactor and its workers observe
-        // everything settled before shutdown was requested.
-        self.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
-impl Router {
-    pub fn bind(addr: &str, backends: Vec<SocketAddr>, config: RouterConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let fleet = Arc::new(Fleet::new(backends, config.replicas));
-        Ok(Self {
-            listener,
-            addr,
-            fleet,
-            config,
-        })
-    }
-
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub fn fleet(&self) -> &Arc<Fleet> {
-        &self.fleet
-    }
-
-    /// Serve until [`RouterHandle::shutdown`]; returns the handle and
-    /// a join handle that resolves once the reactor has drained.
-    pub fn spawn(self) -> io::Result<(RouterHandle, std::thread::JoinHandle<()>)> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = RouterHandle {
-            addr: self.addr,
-            fleet: Arc::clone(&self.fleet),
-            stop: Arc::clone(&stop),
-        };
-        let config = ServerConfig {
-            workers: self.config.workers,
-            ..ServerConfig::default()
-        };
-        let join = std::thread::Builder::new()
-            .name("ft-router".into())
-            .spawn(move || ft_server::serve(self.listener, &*self.fleet, config, &stop))?;
-        Ok((handle, join))
-    }
-
-    /// Serve until the process exits, blocking the calling thread (the
-    /// binary's entry point).
-    pub fn serve(self) -> io::Result<()> {
-        let (_, join) = self.spawn()?;
-        join.join()
-            .map_err(|_| io::Error::other("router reactor panicked"))
-    }
+) -> io::Result<Server<Fleet>> {
+    let config = ServerConfig {
+        workers: config.workers,
+        ..ServerConfig::default()
+    };
+    Server::bind_service(addr, Arc::new(Fleet::new(backends)), config)
 }

@@ -9,7 +9,7 @@ use ft_core::adaptive::AdaptiveOptions;
 use ft_core::registry::CampaignRegistry;
 use ft_core::{DeadlineProblem, KernelConfig, PenaltyModel};
 use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
-use ft_router::{Router, RouterConfig, RouterHandle};
+use ft_router::RouterConfig;
 use ft_server::{Server, ServerHandle};
 use serde::{map_get, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -42,7 +42,7 @@ struct Fleet {
     backends: Vec<SocketAddr>,
     node_handles: Vec<ServerHandle>,
     node_joins: Vec<std::thread::JoinHandle<()>>,
-    router: RouterHandle,
+    router: ServerHandle,
     router_join: std::thread::JoinHandle<()>,
 }
 
@@ -66,16 +66,10 @@ impl Fleet {
             node_handles.push(handle);
             node_joins.push(join);
         }
-        let router = Router::bind(
-            "127.0.0.1:0",
-            backends.clone(),
-            RouterConfig {
-                workers: 4,
-                ..RouterConfig::default()
-            },
-        )
-        .expect("bind router");
-        let (router, router_join) = router.spawn().expect("spawn router");
+        let (router, router_join) =
+            ft_router::bind("127.0.0.1:0", backends.clone(), RouterConfig { workers: 4 })
+                .expect("bind router")
+                .start();
         Self {
             backends,
             node_handles,
@@ -360,6 +354,97 @@ fn bulk_quotes_reassemble_across_backends_in_input_order() {
     fleet.teardown();
 }
 
+/// The router's own accounting, recorded by the reactor it serves on:
+/// between two `GET /metrics` scrapes, each endpoint's
+/// `ft_router_requests_total` and `ft_router_request_ns` count move by
+/// exactly the requests it answered (the first scrape included),
+/// `ft_router_responses_total` by their status classes, and a traced
+/// `GET /fleet` gets its `x-ft-trace` echoed, is the endpoint's
+/// exemplar, and is filed under `fleet_status`.
+#[test]
+fn router_records_each_request_once() {
+    let fleet = Fleet::spawn(3);
+    let addr = fleet.addr();
+    let ids = seed_campaigns(addr, 6);
+    let first = ids[0];
+    let other = *ids[1..]
+        .iter()
+        .find(|&&id| fleet.host_of(id) != fleet.host_of(first))
+        .expect("two campaigns on different nodes");
+
+    let before = request(addr, "GET", "/metrics", None).1;
+    let (status, body) = request(
+        addr,
+        "GET",
+        &format!("/campaigns/{first}/price?remaining=10&interval=0"),
+        None,
+    );
+    assert_eq!(status, 200, "{body:?}");
+    let bulk = format!(
+        "{{\"quotes\":[{{\"id\":{first},\"remaining\":10,\"interval\":0}},\
+         {{\"id\":{other},\"remaining\":10,\"interval\":0}}]}}"
+    );
+    let (status, body) = request(addr, "POST", "/campaigns/quotes", Some(&bulk));
+    assert_eq!(status, 200, "{body:?}");
+    let trace_id = ft_trace::next_trace_id();
+    let (status, _, echoed) = ft_server::Client::new(addr)
+        .request_traced("GET", "/fleet", None, Some(trace_id))
+        .expect("fleet status");
+    assert_eq!((status, echoed), (200, Some(trace_id)));
+    let (status, body) = request(addr, "GET", "/no/such/route", None);
+    assert_eq!(status, 404, "{body:?}");
+    let after = request(addr, "GET", "/metrics", None).1;
+
+    let counter = |metrics: &Value, name: &str| num(metrics, name);
+    let count = |metrics: &Value, name: &str| {
+        num(map_get(metrics.as_map().unwrap(), name).unwrap(), "count")
+    };
+    let served = [
+        "metrics",
+        "campaign_price",
+        "campaigns_quotes",
+        "fleet_status",
+        "other",
+    ];
+    for route in ft_router::Route::all() {
+        let label = route.label();
+        let want = if served.contains(&label) { 1.0 } else { 0.0 };
+        let requests = format!("ft_router_requests_total{{endpoint=\"{label}\"}}");
+        let latency = format!("ft_router_request_ns{{endpoint=\"{label}\"}}");
+        assert_eq!(
+            counter(&after, &requests) - counter(&before, &requests),
+            want,
+            "{requests}"
+        );
+        assert_eq!(
+            count(&after, &latency) - count(&before, &latency),
+            want,
+            "{latency}"
+        );
+    }
+    for (class, want) in [("2xx", 4.0), ("4xx", 1.0), ("5xx", 0.0)] {
+        let name = format!("ft_router_responses_total{{class=\"{class}\"}}");
+        assert_eq!(
+            counter(&after, &name) - counter(&before, &name),
+            want,
+            "{name}"
+        );
+    }
+    let fleet_latency = map_get(
+        after.as_map().unwrap(),
+        "ft_router_request_ns{endpoint=\"fleet_status\"}",
+    )
+    .unwrap();
+    assert_eq!(
+        text(fleet_latency, "exemplar_trace_id"),
+        format!("{trace_id:016x}")
+    );
+    let trace = ft_trace::find(trace_id).expect("the traced GET /fleet is stored");
+    assert_eq!(trace.op, "fleet_status");
+
+    fleet.teardown();
+}
+
 /// The router parses `POST /campaigns` and bulk bodies itself, with the
 /// depth-capped parser: 1 MB of `[` is a 400 there, and the router
 /// stays up to create and solve the next campaign.
@@ -561,8 +646,9 @@ impl Drop for NodeProcess {
 fn traced_request_merges_into_one_tree_across_processes() {
     let nodes = [NodeProcess::spawn(), NodeProcess::spawn()];
     let backends = nodes.iter().map(|node| node.addr).collect();
-    let router = Router::bind("127.0.0.1:0", backends, RouterConfig::default()).expect("bind");
-    let (router, router_join) = router.spawn().expect("spawn router");
+    let (router, router_join) = ft_router::bind("127.0.0.1:0", backends, RouterConfig::default())
+        .expect("bind")
+        .start();
     let addr = router.addr();
     let id = seed_campaigns(addr, 1)[0];
 

@@ -2,14 +2,14 @@
 //! the affected node's share of the keyspace, and the hash is
 //! deterministic so the shares themselves are stable across builds.
 
-use ft_router::{Ring, DEFAULT_REPLICAS};
+use ft_router::Ring;
 
 const KEYS: u64 = 10_000;
 
 #[test]
 fn removing_a_node_moves_exactly_its_keys() {
-    let full = Ring::build(&[0, 1, 2], DEFAULT_REPLICAS);
-    let survivors = Ring::build(&[0, 2], DEFAULT_REPLICAS);
+    let full = Ring::build(&[0, 1, 2]);
+    let survivors = Ring::build(&[0, 2]);
     let mut owned_by_dead = 0u64;
     let mut moved = 0u64;
     for id in 1..=KEYS {
@@ -38,8 +38,8 @@ fn removing_a_node_moves_exactly_its_keys() {
 
 #[test]
 fn adding_a_node_steals_only_its_share() {
-    let small = Ring::build(&[0, 1], DEFAULT_REPLICAS);
-    let grown = Ring::build(&[0, 1, 2], DEFAULT_REPLICAS);
+    let small = Ring::build(&[0, 1]);
+    let grown = Ring::build(&[0, 1, 2]);
     let mut stolen = 0u64;
     for id in 1..=KEYS {
         let before = small.route(id).unwrap();
@@ -63,11 +63,11 @@ fn adding_a_node_steals_only_its_share() {
 /// (and CI's fleet gates) on the wrong node.
 #[test]
 fn placement_is_pinned() {
-    let ring = Ring::build(&[0, 1, 2], DEFAULT_REPLICAS);
+    let ring = Ring::build(&[0, 1, 2]);
     let routes: Vec<usize> = (1..=12u64).map(|id| ring.route(id).unwrap()).collect();
     assert_eq!(routes, [1, 1, 2, 2, 2, 2, 0, 2, 1, 0, 1, 1]);
     // Shuffled construction order builds the identical ring.
-    let shuffled = Ring::build(&[2, 0, 1], DEFAULT_REPLICAS);
+    let shuffled = Ring::build(&[2, 0, 1]);
     for id in 1..=KEYS {
         assert_eq!(ring.route(id), shuffled.route(id));
     }

@@ -34,11 +34,14 @@
 //! server_busy` instead of growing the thread count. The reactor
 //! serves any [`Service`] through [`serve`]: the node's [`AppState`],
 //! and `ft-router`'s fleet, so both tiers share one event loop, one
-//! parser and one overload contract. Every routed request is recorded
-//! into the shared `ft-metrics` plane (per-endpoint counts, latency
-//! histograms, status classes, connection accounting, ready-queue
-//! wait), which `GET /metrics` exports alongside the registry's own
-//! instruments.
+//! parser, one overload contract and one request envelope. The
+//! reactor's worker loop records every request of either tier into
+//! the service's [`TierTelemetry`] (per-endpoint counts and handler
+//! latency, status classes, connection accounting, ready-queue wait),
+//! opens its root span and echoes its trace id; a node's instruments
+//! live in the registry's metrics plane, which `GET /metrics` exports
+//! alongside the registry's own. Both tiers start through
+//! [`Server::start`], which returns a [`ServerHandle`].
 //!
 //! Structured [`ft_core::PricingError`]s map onto HTTP statuses
 //! ([`router::status_for`]): unknown campaign → 404, draft/evicted →
@@ -61,7 +64,7 @@ pub mod state;
 mod sys;
 
 pub use client::Client;
-pub use reactor::{serve, Service, TierTelemetry};
-pub use router::{handle, status_for};
+pub use reactor::{serve, EndpointTelemetry, Service, TierTelemetry};
+pub use router::{handle, status_for, MAX_BULK_ITEMS};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::{AppState, Endpoint};

@@ -14,8 +14,15 @@
 //! ```
 //!
 //! The loop serves any [`Service`]: the node's [`AppState`] (handler
-//! `router::handle`) and `ft-router`'s fleet (handler `proxy::handle`)
-//! share it, and with it one request parser and one overload contract.
+//! `router::dispatch`) and `ft-router`'s fleet (handler
+//! `proxy::handle`) share it, and with it one request parser, one
+//! overload contract and one request envelope. The worker loop is the
+//! only place a request is recorded: it classifies the request once
+//! ([`Service::route`]), opens its root span filed under the
+//! endpoint's label, times the handler call alone, bumps the
+//! endpoint's counter and latency histogram (offering a traced
+//! request as the histogram's exemplar), counts the status class, and
+//! echoes the trace id. A service only answers.
 //!
 //! Per connection the reactor keeps a small state machine: an input
 //! buffer fed to [`crate::http::parse_request`], a sequence counter
@@ -38,7 +45,7 @@
 use crate::http::{parse_request, write_response, Request, Response};
 use crate::router;
 use crate::server::ServerConfig;
-use crate::state::AppState;
+use crate::state::{AppState, Endpoint};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use ft_metrics::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
@@ -50,25 +57,37 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What the reactor serves: a handler run on the worker threads, plus
-/// the instruments the reactor itself records.
+/// What the reactor serves: a classifier and a handler run on the
+/// worker threads, plus the instruments the reactor records for every
+/// request.
 pub trait Service: Sync {
     /// Per-worker state, built once on each worker thread (the router
     /// keeps its backend connections here).
     type Worker;
+    /// A classified request: what [`Service::handle`] dispatches on.
+    type Route: Copy;
     /// Name of the root span each traced request opens, backdated to
     /// when the request was parsed.
     const ROOT_SPAN: &'static str;
     fn worker(&self) -> Self::Worker;
-    /// Answer one parsed request; runs on a worker thread, never on
-    /// the event loop.
-    fn handle(&self, worker: &mut Self::Worker, request: &Request) -> Response;
+    /// Classify one request, once: its route, and the route's slot in
+    /// [`TierTelemetry::endpoints`].
+    fn route(&self, request: &Request) -> (Self::Route, usize);
+    /// Answer one classified request; runs on a worker thread, never
+    /// on the event loop.
+    fn handle(&self, worker: &mut Self::Worker, route: Self::Route, request: &Request) -> Response;
     fn tier(&self) -> &TierTelemetry;
 }
 
 /// The instruments the reactor records for its service, registered
 /// under the service's own metric names.
 pub struct TierTelemetry {
+    /// One per route slot.
+    pub endpoints: Vec<EndpointTelemetry>,
+    pub responses_2xx: Arc<Counter>,
+    /// Every status outside 2xx and 5xx.
+    pub responses_4xx: Arc<Counter>,
+    pub responses_5xx: Arc<Counter>,
     pub connections_accepted: Arc<Counter>,
     /// Connections refused over `max_connections`, plus requests
     /// answered `503` because the ready-queue was full.
@@ -80,18 +99,35 @@ pub struct TierTelemetry {
     pub queue_wait: Arc<Histogram>,
 }
 
+/// One route's instruments.
+pub struct EndpointTelemetry {
+    /// The `endpoint` label value; also the op its traces are filed
+    /// under.
+    pub label: &'static str,
+    pub requests: Arc<Counter>,
+    /// The handler call alone; queue wait is in
+    /// [`TierTelemetry::queue_wait`].
+    pub latency: Arc<Histogram>,
+}
+
 impl Service for AppState {
     type Worker = ();
+    type Route = Endpoint;
     const ROOT_SPAN: &'static str = "server.request.serve";
 
     fn worker(&self) {}
 
-    fn handle(&self, _: &mut (), request: &Request) -> Response {
-        router::handle(self, request)
+    fn route(&self, request: &Request) -> (Endpoint, usize) {
+        let endpoint = Endpoint::classify(request);
+        (endpoint, endpoint as usize)
+    }
+
+    fn handle(&self, _: &mut (), endpoint: Endpoint, request: &Request) -> Response {
+        router::dispatch(self, endpoint, request)
     }
 
     fn tier(&self) -> &TierTelemetry {
-        &self.telemetry.tier
+        &self.telemetry
     }
 }
 
@@ -317,14 +353,18 @@ pub fn serve<S: Service>(
             let wake = Arc::clone(&wake_tx);
             s.spawn(move || {
                 let mut worker = service.worker();
+                let tier = service.tier();
                 while let Some(job) = jobs.pop() {
                     let queue_wait = job.queued_at.elapsed();
-                    service.tier().queue_wait.record_duration(queue_wait);
+                    tier.queue_wait.record_duration(queue_wait);
+                    let (route, slot) = service.route(&job.request);
+                    let endpoint = &tier.endpoints[slot];
                     // Trace when the client asked for it (x-ft-trace)
                     // or on the organic 1-in-1024 sample. The root span
                     // is backdated to when the request was parsed, so
                     // the tier hand-off shows up as a `queue_wait`
-                    // child instead of vanishing between spans.
+                    // child instead of vanishing between spans, and its
+                    // trace is filed under the endpoint's label.
                     let trace_id = job
                         .request
                         .trace
@@ -332,15 +372,39 @@ pub fn serve<S: Service>(
                     let dequeued_ns = ft_trace::now_ns();
                     let queued_ns = dequeued_ns
                         .saturating_sub(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
-                    let root = ft_trace::begin_at(trace_id.unwrap_or(0), S::ROOT_SPAN, queued_ns);
+                    let root = ft_trace::begin_at(
+                        trace_id.unwrap_or(0),
+                        S::ROOT_SPAN,
+                        endpoint.label,
+                        queued_ns,
+                    );
                     ft_trace::record("server.reactor.queue_wait", queued_ns, dequeued_ns);
-                    let response = service.handle(&mut worker, &job.request);
+                    let started = Instant::now();
+                    let mut response = service.handle(&mut worker, route, &job.request);
+                    let elapsed = started.elapsed();
                     drop(root);
+                    endpoint.requests.inc();
+                    endpoint.latency.record_duration(elapsed);
+                    if let Some(trace_id) = trace_id {
+                        // The traced tail becomes the histogram's
+                        // exemplar, so `/metrics` points at an openable
+                        // trace.
+                        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+                        endpoint.latency.offer_exemplar(ns, trace_id);
+                    }
+                    match response.status {
+                        200..=299 => tier.responses_2xx.inc(),
+                        500..=599 => tier.responses_5xx.inc(),
+                        _ => tier.responses_4xx.inc(),
+                    }
+                    // Echo the client's trace id, or the sampled one, so
+                    // the caller can fetch the span tree (propagation is
+                    // a wire contract).
+                    response.trace = trace_id;
                     // During shutdown, answer the request in hand but
                     // decline the keep-alive so the connection closes.
-                    // ORDERING: Acquire pairs with the Release store of
-                    // whoever sets `shutdown` (`ServerHandle::shutdown`,
-                    // `RouterHandle::shutdown`) — seeing the flag also
+                    // ORDERING: Acquire pairs with the Release store in
+                    // `ServerHandle::shutdown` — seeing the flag also
                     // sees any state the shutdown caller settled first.
                     let keep_alive = job.request.keep_alive && !shutdown.load(Ordering::Acquire);
                     completions

@@ -29,9 +29,8 @@
 //! [`ft_core::BudgetProblem`]. Structured [`PricingError`]s map to HTTP
 //! statuses in [`status_for`].
 //!
-//! Every routed request is recorded into the shared metrics plane
-//! (endpoint counter + latency histogram + status class) before the
-//! response leaves [`handle`].
+//! Recording is the reactor's: it counts, times and traces every
+//! request around the handler call (see `reactor.rs`).
 
 use crate::http::{Request, Response};
 use crate::state::{AppState, Endpoint};
@@ -95,30 +94,17 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Route one request: classify it **once** ([`Endpoint::classify`] is
-/// the single routing table), dispatch onto the registry, and record
-/// endpoint count, latency and status class into the metrics plane.
-///
-/// Tracing is the caller's: the reactor opens the request's root span
-/// before calling in. Here the trace is keyed by endpoint, and its id
-/// (the client's `x-ft-trace`, or the sampled one) is echoed on the
-/// response.
+/// Route one request: classify it ([`Endpoint::classify`] is the
+/// single routing table) and dispatch onto the registry. In-process
+/// callers use this; the reactor classifies through
+/// [`crate::Service::route`] and calls `dispatch` itself, so it can
+/// record the request around the handler call.
 pub fn handle(state: &AppState, request: &Request) -> Response {
-    let started = std::time::Instant::now();
-    let endpoint = Endpoint::classify(request);
-    ft_trace::set_current_op(endpoint.label());
-    let trace_id = ft_trace::current_trace_id();
-    let mut response = dispatch(state, endpoint, request);
-    state
-        .telemetry
-        .record(endpoint, response.status, started.elapsed(), trace_id);
-    // Echo the client's trace id, or the sampled one, so the caller
-    // can fetch the span tree (propagation is a wire contract).
-    response.trace = request.trace.or(trace_id);
-    response
+    dispatch(state, Endpoint::classify(request), request)
 }
 
-fn dispatch(state: &AppState, endpoint: Endpoint, request: &Request) -> Response {
+/// Answer one classified request.
+pub(crate) fn dispatch(state: &AppState, endpoint: Endpoint, request: &Request) -> Response {
     let registry = state.registry.as_ref();
     // A draining node refuses every mutation with a retryable 503: a
     // migrating router needs each campaign's generation and engine
@@ -591,8 +577,9 @@ fn parse_observation(
 
 /// How many items one bulk request may carry. Far above any sane
 /// batch, low enough that a single request can't monopolise a worker
-/// for seconds or balloon the response buffer.
-const MAX_BULK_ITEMS: usize = 1024;
+/// for seconds or balloon the response buffer. `ft-router` enforces
+/// the same cap before it splits a batch.
+pub const MAX_BULK_ITEMS: usize = 1024;
 
 /// Pull the `items` array out of a bulk body, enforcing shape + cap.
 fn bulk_items<'v>(body: &'v Value, key: &str) -> Result<&'v [Value], Response> {

@@ -14,7 +14,10 @@
 //! thread plus `workers` handlers — while idle connections cost a
 //! registered fd, not a thread, and a keep-alive client may pipeline
 //! requests (responses come back in order). `ft-router` serves on this
-//! same reactor, as a [`crate::Service`].
+//! same reactor, as a [`crate::Service`] bound with
+//! [`Server::bind_service`], and starts through the same
+//! [`Server::start`]: that one thread per tier, the reactor, is the
+//! only thread either tier spawns outside the reactor's scoped workers.
 //!
 //! The overload contract is unchanged: in-flight requests are bounded
 //! by `workers + queue_depth`, and a request that finds the
@@ -25,9 +28,10 @@
 //! `ft_server_connections_active`), and the queue hand-off latency is
 //! measured as `ft_server_queue_wait_ns`.
 
-use crate::reactor;
+use crate::reactor::{self, Service};
 use crate::state::AppState;
 use ft_core::registry::CampaignRegistry;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,10 +95,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// An HTTP server bound to a socket, not yet serving.
-pub struct Server {
+/// A [`Service`] bound to a socket, not yet serving: a node (the
+/// default, serving [`AppState`]) or, with any other service, another
+/// tier on the same reactor (`ft-router` binds its fleet this way).
+pub struct Server<S = AppState> {
     listener: TcpListener,
-    state: Arc<AppState>,
+    service: Arc<S>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
 }
@@ -126,28 +132,46 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Bind to `addr` (use port 0 for an ephemeral port) with the
-    /// default sizing.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        registry: Arc<CampaignRegistry>,
-    ) -> std::io::Result<Self> {
-        Self::bind_with(addr, registry, ServerConfig::default())
-    }
-
-    /// Bind with explicit sizing.
+    /// Bind a node to `addr` (use port 0 for an ephemeral port).
     pub fn bind_with<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<CampaignRegistry>,
         config: ServerConfig,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+    ) -> io::Result<Self> {
         registry
             .metrics()
             .set_export_cache_ttl(config.metrics_export_cache);
+        Self::bind_service(addr, Arc::new(AppState::new(registry)), config)
+    }
+
+    /// Bind a node and [`start`](Server::start) it.
+    pub fn spawn<A: ToSocketAddrs>(
+        addr: A,
+        registry: Arc<CampaignRegistry>,
+    ) -> io::Result<(ServerHandle, JoinHandle<()>)> {
+        Self::spawn_with(addr, registry, ServerConfig::default())
+    }
+
+    /// [`Server::spawn`] with explicit sizing.
+    pub fn spawn_with<A: ToSocketAddrs>(
+        addr: A,
+        registry: Arc<CampaignRegistry>,
+        config: ServerConfig,
+    ) -> io::Result<(ServerHandle, JoinHandle<()>)> {
+        Ok(Self::bind_with(addr, registry, config)?.start())
+    }
+}
+
+impl<S: Service> Server<S> {
+    /// Bind `service` to `addr` with explicit sizing.
+    pub fn bind_service<A: ToSocketAddrs>(
+        addr: A,
+        service: Arc<S>,
+        config: ServerConfig,
+    ) -> io::Result<Self> {
         Ok(Self {
-            listener,
-            state: Arc::new(AppState::new(registry)),
+            listener: TcpListener::bind(addr)?,
+            service,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -172,27 +196,19 @@ impl Server {
     /// flushes in-flight responses, and force-drops stragglers after a
     /// short grace.
     pub fn serve(self) {
-        reactor::serve(self.listener, &*self.state, self.config, &self.shutdown);
+        reactor::serve(self.listener, &*self.service, self.config, &self.shutdown);
     }
 
-    /// Bind + serve on a background thread; returns the handle and the
-    /// serving thread (join it after `shutdown()` for a clean exit).
-    pub fn spawn<A: ToSocketAddrs>(
-        addr: A,
-        registry: Arc<CampaignRegistry>,
-    ) -> std::io::Result<(ServerHandle, JoinHandle<()>)> {
-        Self::spawn_with(addr, registry, ServerConfig::default())
-    }
-
-    /// [`Server::spawn`] with explicit sizing.
-    pub fn spawn_with<A: ToSocketAddrs>(
-        addr: A,
-        registry: Arc<CampaignRegistry>,
-        config: ServerConfig,
-    ) -> std::io::Result<(ServerHandle, JoinHandle<()>)> {
-        let server = Self::bind_with(addr, registry, config)?;
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.serve());
-        Ok((handle, join))
+    /// [`serve`](Server::serve) on a background thread; returns the
+    /// handle and the serving thread (join it after `shutdown()` for a
+    /// clean exit). Every tier that serves in the background starts
+    /// here.
+    pub fn start(self) -> (ServerHandle, JoinHandle<()>)
+    where
+        S: Send + 'static,
+    {
+        let handle = self.handle();
+        let join = std::thread::spawn(move || self.serve());
+        (handle, join)
     }
 }

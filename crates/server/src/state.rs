@@ -3,16 +3,17 @@
 //! registry reports into (so one `GET /metrics` covers both).
 
 use crate::http::Request;
-use crate::reactor::TierTelemetry;
+use crate::reactor::{EndpointTelemetry, TierTelemetry};
 use ft_core::registry::CampaignRegistry;
-use ft_metrics::{Counter, Histogram};
+use ft_metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The routes the server distinguishes in its metrics. `Other` absorbs
 /// unknown paths so a URL-scanning client can't mint unbounded metric
-/// names.
+/// names. A variant's discriminant is its index in [`Endpoint::ALL`]
+/// and its slot in the node's [`TierTelemetry::endpoints`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     Healthz,
@@ -129,86 +130,38 @@ impl Endpoint {
     }
 }
 
-/// The HTTP layer's instruments, pre-resolved per endpoint.
-pub struct ServerTelemetry {
-    requests: Vec<Arc<Counter>>,
-    latency: Vec<Arc<Histogram>>,
-    class_2xx: Arc<Counter>,
-    class_4xx: Arc<Counter>,
-    class_5xx: Arc<Counter>,
-    /// Connection accounting and ready-queue wait, recorded by the
-    /// reactor.
-    pub tier: TierTelemetry,
-}
-
-impl ServerTelemetry {
-    fn new(metrics: &ft_metrics::MetricsRegistry) -> Self {
-        let requests = Endpoint::ALL
+/// The node's instruments, registered under its `ft_server_*` names
+/// in the registry's metrics plane; the reactor records into them.
+fn telemetry(metrics: &MetricsRegistry) -> TierTelemetry {
+    TierTelemetry {
+        endpoints: Endpoint::ALL
             .iter()
-            .map(|e| {
-                metrics.counter(&format!(
+            .map(|e| EndpointTelemetry {
+                label: e.label(),
+                requests: metrics.counter(&format!(
                     "ft_server_requests_total{{endpoint=\"{}\"}}",
                     e.label()
-                ))
-            })
-            .collect();
-        let latency = Endpoint::ALL
-            .iter()
-            .map(|e| {
-                metrics.histogram(&format!(
+                )),
+                latency: metrics.histogram(&format!(
                     "ft_server_request_ns{{endpoint=\"{}\"}}",
                     e.label()
-                ))
+                )),
             })
-            .collect();
-        Self {
-            requests,
-            latency,
-            class_2xx: metrics.counter("ft_server_responses_total{class=\"2xx\"}"),
-            class_4xx: metrics.counter("ft_server_responses_total{class=\"4xx\"}"),
-            class_5xx: metrics.counter("ft_server_responses_total{class=\"5xx\"}"),
-            tier: TierTelemetry {
-                connections_accepted: metrics.counter("ft_server_connections_accepted_total"),
-                connections_rejected: metrics.counter("ft_server_connections_rejected_total"),
-                connections_active: metrics.gauge("ft_server_connections_active"),
-                queue_wait: metrics.histogram("ft_server_queue_wait_ns"),
-            },
-        }
-    }
-
-    /// Record one routed request: endpoint count, latency, status
-    /// class — and, when the request was traced, offer its latency as
-    /// the endpoint histogram's tail exemplar so `/metrics` can point
-    /// at an openable trace.
-    pub fn record(
-        &self,
-        endpoint: Endpoint,
-        status: u16,
-        elapsed: std::time::Duration,
-        trace: Option<u64>,
-    ) {
-        let i = Endpoint::ALL
-            .iter()
-            .position(|e| *e == endpoint)
-            .expect("endpoint in ALL");
-        self.requests[i].inc();
-        self.latency[i].record_duration(elapsed);
-        if let Some(trace_id) = trace {
-            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-            self.latency[i].offer_exemplar(ns, trace_id);
-        }
-        match status {
-            200..=299 => self.class_2xx.inc(),
-            500..=599 => self.class_5xx.inc(),
-            _ => self.class_4xx.inc(),
-        }
+            .collect(),
+        responses_2xx: metrics.counter("ft_server_responses_total{class=\"2xx\"}"),
+        responses_4xx: metrics.counter("ft_server_responses_total{class=\"4xx\"}"),
+        responses_5xx: metrics.counter("ft_server_responses_total{class=\"5xx\"}"),
+        connections_accepted: metrics.counter("ft_server_connections_accepted_total"),
+        connections_rejected: metrics.counter("ft_server_connections_rejected_total"),
+        connections_active: metrics.gauge("ft_server_connections_active"),
+        queue_wait: metrics.histogram("ft_server_queue_wait_ns"),
     }
 }
 
 /// Everything a handler thread needs: built once per server.
 pub struct AppState {
     pub registry: Arc<CampaignRegistry>,
-    pub telemetry: ServerTelemetry,
+    pub telemetry: TierTelemetry,
     pub started: Instant,
     /// Set by `POST /admin/drain`: mutations are refused with 503 so a
     /// migrating router can snapshot every campaign at a generation
@@ -218,7 +171,7 @@ pub struct AppState {
 
 impl AppState {
     pub fn new(registry: Arc<CampaignRegistry>) -> Self {
-        let telemetry = ServerTelemetry::new(registry.metrics());
+        let telemetry = telemetry(registry.metrics());
         // Mirror the executor's internal counters (steals, deque
         // overflows) onto the same metrics plane the registry reports
         // into, so one `GET /metrics` covers HTTP, solver, and pool.
@@ -244,5 +197,17 @@ impl AppState {
         // ORDERING: Release pairs with the Acquire in `draining` —
         // handlers that observe the flag observe the drainer's writes.
         self.draining.store(draining, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Endpoint;
+
+    #[test]
+    fn discriminants_index_all() {
+        for (slot, endpoint) in Endpoint::ALL.iter().enumerate() {
+            assert_eq!(*endpoint as usize, slot, "{endpoint:?}");
+        }
     }
 }

@@ -10,7 +10,7 @@ use ft_core::{DeadlineProblem, PenaltyModel};
 use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
 use ft_metrics::MetricsRegistry;
 use ft_server::http::{Request, Response};
-use ft_server::{Server, ServerConfig, Service, TierTelemetry};
+use ft_server::{EndpointTelemetry, Server, ServerConfig, Service, TierTelemetry};
 use serde::{map_get, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,11 +98,16 @@ impl Gated {
 
 impl Service for Gated {
     type Worker = ();
+    type Route = ();
     const ROOT_SPAN: &'static str = "test.gate.serve";
 
     fn worker(&self) {}
 
-    fn handle(&self, _: &mut (), request: &Request) -> Response {
+    fn route(&self, _: &Request) -> ((), usize) {
+        ((), 0)
+    }
+
+    fn handle(&self, _: &mut (), _: (), request: &Request) -> Response {
         if request.path == "/hold" {
             let _ = self.holding.send(());
             let mut open = self.open.lock().expect("gate");
@@ -140,6 +145,14 @@ fn request_flood_is_survived_with_bounded_threads() {
         opened: Condvar::new(),
         holding: holding_tx,
         tier: TierTelemetry {
+            endpoints: vec![EndpointTelemetry {
+                label: "any",
+                requests: metrics.counter("ft_test_requests_total"),
+                latency: metrics.histogram("ft_test_request_ns"),
+            }],
+            responses_2xx: metrics.counter("ft_test_responses_total{class=\"2xx\"}"),
+            responses_4xx: metrics.counter("ft_test_responses_total{class=\"4xx\"}"),
+            responses_5xx: metrics.counter("ft_test_responses_total{class=\"5xx\"}"),
             connections_accepted: metrics.counter("ft_test_connections_accepted_total"),
             connections_rejected: metrics.counter("ft_test_connections_rejected_total"),
             connections_active: metrics.gauge("ft_test_connections_active"),

@@ -102,7 +102,10 @@ impl Poisson {
     /// bracketed search's first upper bound `⌈λ⌉ + 2` and its one
     /// doubling (at most `2λ + 4`) fit in a `u64`; past 2⁶⁴ the bound
     /// overflowed and the search never returned. The answer is exact
-    /// only while `s0` is an exact f64, i.e. below 2⁵³.
+    /// only while `s0` is an exact f64, i.e. below 2⁵³, and while the
+    /// incomplete-gamma loops converge within their term cap, i.e. for
+    /// λ up to ≈ 10¹⁰; past that the tail reads short and `s0`
+    /// undershoots.
     pub fn truncation_point(&self, eps: f64) -> u64 {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
         assert!(
@@ -384,6 +387,56 @@ mod tests {
                 assert_eq!(s0, d.truncation_point_bracketed(eps), "λ={lambda}, ε={eps}");
                 assert!(d.sf(s0) <= eps && d.sf(s0 - 1) > eps, "λ={lambda}, ε={eps}");
             }
+        }
+    }
+
+    /// `Pr[X ≥ s]` summed from an independent pmf: Stirling's series
+    /// for `ln s!`, written around the mean with `ln_1p` so the large
+    /// terms cancel exactly, then the recurrence `pmf(k+1) = pmf(k)·λ/(k+1)`
+    /// until the terms stop counting. Shares no code with
+    /// `special.rs`.
+    fn independent_tail(lambda: f64, s: u64) -> f64 {
+        let k = s as f64;
+        let d = k - lambda;
+        let ln_pmf = d
+            - k * (d / lambda).ln_1p()
+            - 0.5 * (2.0 * std::f64::consts::PI * k).ln()
+            - 1.0 / (12.0 * k)
+            + 1.0 / (360.0 * k * k * k);
+        let mut term = ln_pmf.exp();
+        let mut tail = 0.0;
+        let mut k = s;
+        while term > tail * 1e-20 {
+            tail += term;
+            k += 1;
+            term *= lambda / k as f64;
+        }
+        tail
+    }
+
+    /// Means far above the paper's need many more incomplete-gamma terms
+    /// than its own (≈ 7·√λ near the mean); with too few, the tail read
+    /// short and `s₀` undershot (at λ = 10⁹ by ≈ 13 000, leaving 11× ε
+    /// behind). An independently summed tail must put `s₀` exactly at
+    /// the crossing.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "millions of loop iterations; a numeric check, not a UB one"
+    )]
+    fn large_means_truncate_at_the_exact_crossing() {
+        let eps = 1e-9;
+        for lambda in [1e6, 1e8, 1e9] {
+            let s0 = Poisson::new(lambda).truncation_point(eps);
+            let (at, below) = (
+                independent_tail(lambda, s0),
+                independent_tail(lambda, s0 - 1),
+            );
+            assert!(
+                at <= eps && below > eps,
+                "λ={lambda}: s₀ = λ + {}, tail(s₀) = {at:e}, tail(s₀ − 1) = {below:e}",
+                s0 as f64 - lambda
+            );
         }
     }
 

@@ -115,12 +115,28 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
     }
 }
 
+/// Most terms either incomplete-gamma loop may take: with
+/// [`max_terms`]' √a rule, enough up to a ≈ 1.1·10¹⁰, 2.7× the largest
+/// Poisson mean a registry re-solve asks for at the default
+/// `max_correction` (4 × 10⁹).
+const MAX_GAMMA_TERMS: f64 = 1_048_576.0;
+
+/// Term bound for the series and the continued fraction at shape `a`.
+/// Near `x ≈ a` the series took up to 8.1·√a terms to converge, and the
+/// continued fraction up to 2·√a, for `a` from 10⁴ to 10⁸, so the bound
+/// grows with √a; past [`MAX_GAMMA_TERMS`] the loops stop unconverged,
+/// which truncates the tail at huge means instead of running for
+/// minutes.
+fn max_terms(a: f64) -> usize {
+    (500.0 + 10.0 * a.sqrt()).min(MAX_GAMMA_TERMS) as usize
+}
+
 fn gamma_p_series(a: f64, x: f64) -> f64 {
     let ln_pre = a * x.ln() - x - ln_gamma(a);
     let mut term = 1.0 / a;
     let mut sum = term;
     let mut ap = a;
-    for _ in 0..500 {
+    for _ in 0..max_terms(a) {
         ap += 1.0;
         term *= x / ap;
         sum += term;
@@ -139,7 +155,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     let mut c = 1.0 / tiny;
     let mut d = 1.0 / b;
     let mut h = d;
-    for i in 1..500 {
+    for i in 1..max_terms(a) {
         let an = -(i as f64) * (i as f64 - a);
         b += 2.0;
         d = an * d + b;

@@ -327,8 +327,8 @@ mod imp {
     struct Ctx {
         /// 0 = no trace active on this thread.
         trace_id: u64,
-        /// Exemplar-store key; defaults to the root span name until
-        /// [`set_current_op`] refines it (e.g. the endpoint label).
+        /// Exemplar-store key: the root span name, or the op its
+        /// opener named (the reactor names the endpoint label).
         op: &'static str,
         start_ns: u64,
         next_span: u64,
@@ -401,19 +401,25 @@ mod imp {
 
     /// Start a trace with a fresh id; root span named `name`.
     pub fn begin(name: &'static str) -> TraceGuard {
-        begin_at(next_trace_id(), name, now_ns())
+        begin_at(next_trace_id(), name, name, now_ns())
     }
 
     /// Start a trace under a caller-supplied id (header propagation).
     pub fn begin_with(trace_id: u64, name: &'static str) -> TraceGuard {
-        begin_at(trace_id, name, now_ns())
+        begin_at(trace_id, name, name, now_ns())
     }
 
-    /// Start a trace with an explicit (possibly backdated) root start —
-    /// the reactor uses this to charge queue wait to the request.
-    /// Inert if `trace_id` is 0 or a trace is already active on this
-    /// thread (nested begins never clobber the outer root).
-    pub fn begin_at(trace_id: u64, name: &'static str, start_ns: u64) -> TraceGuard {
+    /// Start a trace with an explicit (possibly backdated) root start,
+    /// filed under `op` in the exemplar store — the reactor uses this
+    /// to charge queue wait to the request and to file it under its
+    /// endpoint. Inert if `trace_id` is 0 or a trace is already active
+    /// on this thread (nested begins never clobber the outer root).
+    pub fn begin_at(
+        trace_id: u64,
+        name: &'static str,
+        op: &'static str,
+        start_ns: u64,
+    ) -> TraceGuard {
         if trace_id == 0 {
             return TraceGuard { live: false, name };
         }
@@ -426,7 +432,7 @@ mod imp {
                 ctx.tid = next_tid();
             }
             ctx.trace_id = trace_id;
-            ctx.op = name;
+            ctx.op = op;
             ctx.start_ns = start_ns;
             ctx.next_span = 1;
             ctx.depth = 1;
@@ -559,17 +565,6 @@ mod imp {
         })
     }
 
-    /// Re-key the active trace's exemplar bucket (the router calls
-    /// this once the endpoint is classified).
-    pub fn set_current_op(op: &'static str) {
-        CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            if ctx.trace_id != 0 {
-                ctx.op = op;
-            }
-        });
-    }
-
     // ---- completed-trace stores --------------------------------------
 
     fn completed() -> &'static Mutex<VecDeque<Arc<CompletedTrace>>> {
@@ -681,8 +676,7 @@ mod imp {
 
 pub use imp::{
     begin, begin_at, begin_with, current_trace_id, exemplars, export_chrome_json, find, find_json,
-    next_trace_id, now_ns, recent, recent_json, record, sample, set_current_op, span, Span,
-    TraceGuard,
+    next_trace_id, now_ns, recent, recent_json, record, sample, span, Span, TraceGuard,
 };
 
 #[cfg(test)]
@@ -958,10 +952,11 @@ mod tests {
         let id = next_trace_id();
         let queued = now_ns();
         {
-            let _root = begin_at(id, "trace.test.backdate", queued);
+            let _root = begin_at(id, "trace.test.backdate", "trace_test_op", queued);
             record("trace.test.queue_wait", queued, now_ns());
         }
         let trace = find(id).expect("trace stored");
+        assert_eq!(trace.op, "trace_test_op");
         let wait = trace
             .spans
             .iter()
