@@ -11,7 +11,9 @@
 //! queue_depth` requests in flight), and the same per-request
 //! recording, under the router's `ft_router_*` names. Each worker owns
 //! one keep-alive [`Connections`] set to the backends, so backend
-//! connection state is per-thread and needs no locking.
+//! connection state is per-thread and needs no locking. The fleet marks
+//! no route [`Service::loop_safe`]: every handler blocks on a backend
+//! socket, so every request waits for a worker.
 
 use crate::fleet::Fleet;
 use crate::proxy::{self, Connections, Route};

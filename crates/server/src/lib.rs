@@ -25,23 +25,29 @@
 //! Serving runs on an **epoll reactor** (`reactor.rs`, over the raw
 //! bindings in `sys.rs`): one event-loop thread multiplexes every
 //! connection with nonblocking I/O, parses requests incrementally
-//! ([`http::parse_request`], the only request parser), and hands them
-//! through a bounded ready-queue to `ServerConfig::workers` handler
-//! threads — so handler execution stays off the event loop, idle
-//! keep-alive connections cost an fd instead of a thread, and a
-//! client may pipeline requests (responses return in order). When the
-//! ready-queue is full further requests are answered `503
-//! server_busy` instead of growing the thread count. The reactor
-//! serves any [`Service`] through [`serve`]: the node's [`AppState`],
-//! and `ft-router`'s fleet, so both tiers share one event loop, one
-//! parser, one overload contract and one request envelope. The
-//! reactor's worker loop records every request of either tier into
-//! the service's [`TierTelemetry`] (per-endpoint counts and handler
-//! latency, status classes, connection accounting, ready-queue wait),
-//! opens its root span and echoes its trace id; a node's instruments
-//! live in the registry's metrics plane, which `GET /metrics` exports
-//! alongside the registry's own. Both tiers start through
-//! [`Server::start`], which returns a [`ServerHandle`].
+//! ([`http::parse_request`], the only request parser) and classifies
+//! each once. The loop answers a route its service marks
+//! [`Service::loop_safe`] itself, one small request per connection per
+//! read pass and only within a per-wake time budget; the node marks
+//! its single and bulk price quotes, which read a published generation
+//! and never solve. Every other request
+//! goes through a bounded ready-queue to `ServerConfig::workers`
+//! handler threads — so solves, observations and anything that may
+//! block stay off the event loop, idle keep-alive connections cost an
+//! fd instead of a thread, and a client may pipeline requests
+//! (responses return in order). When the ready-queue is full further
+//! requests are answered `503 server_busy` instead of growing the
+//! thread count. The reactor serves any [`Service`] through [`serve`]:
+//! the node's [`AppState`], and `ft-router`'s fleet, so both tiers
+//! share one event loop, one parser, one overload contract and one
+//! request envelope. One function records every request of either
+//! tier, on a worker or on the loop, into the service's
+//! [`TierTelemetry`] (per-endpoint counts and handler latency, status
+//! classes, connection accounting, hand-off wait), opens its root span
+//! and echoes its trace id; a node's instruments live in the
+//! registry's metrics plane, which `GET /metrics` exports alongside
+//! the registry's own. Both tiers start through [`Server::start`],
+//! which returns a [`ServerHandle`].
 //!
 //! Structured [`ft_core::PricingError`]s map onto HTTP statuses
 //! ([`router::status_for`]): unknown campaign → 404, draft/evicted →

@@ -1,28 +1,51 @@
 //! The epoll-driven serving tier: one event-loop thread multiplexing
-//! every connection, a bounded ready-queue of **parsed requests**, and
-//! the fixed worker pool executing handlers off the loop.
+//! every connection and answering the cheap, non-blocking requests
+//! itself, a bounded ready-queue of **parsed requests**, and the fixed
+//! worker pool executing every other handler off the loop.
 //!
 //! ```text
 //!        epoll (edge-triggered conns, level-triggered listener)
 //!          │ readiness
 //!          ▼
-//!   reactor thread ── accept / read / parse ──► JobQueue (bounded)
-//!          ▲                                        │ pop
-//!          │ wake pipe + completions                ▼
-//!          └──────────────────────────────── worker threads
-//!                                             (Service::handle)
+//!   reactor thread ── accept / read / parse / classify ──► JobQueue (bounded)
+//!     │    ▲                                                   │ pop
+//!     │    │ wake pipe + completions                           ▼
+//!     │    └────────────────────────────────────────── worker threads
+//!     │                                                (Service::handle)
+//!     └─ a loop-safe request, first in its read pass, within the
+//!        wake's budget: Service::handle on the loop itself, no hand-off
 //! ```
 //!
 //! The loop serves any [`Service`]: the node's [`AppState`] (handler
 //! `router::dispatch`) and `ft-router`'s fleet (handler
 //! `proxy::handle`) share it, and with it one request parser, one
-//! overload contract and one request envelope. The worker loop is the
-//! only place a request is recorded: it classifies the request once
-//! ([`Service::route`]), opens its root span filed under the
+//! overload contract and one request envelope. The loop classifies
+//! each parsed request once ([`Service::route`]); the `Job` carries
+//! the route and its endpoint slot to whichever thread answers it. One
+//! function, `answer`, is the only place a request is recorded, on a
+//! worker or on the loop: it opens the root span filed under the
 //! endpoint's label, times the handler call alone, bumps the
 //! endpoint's counter and latency histogram (offering a traced
 //! request as the histogram's exemplar), counts the status class, and
 //! echoes the trace id. A service only answers.
+//!
+//! A route the service marks [`Service::loop_safe`] is answered on
+//! the loop itself, skipping the ready-queue's condvar wake and the
+//! wake pipe back, when it is the first request parsed from its
+//! connection in this read pass, nothing earlier on that connection is
+//! still unanswered, its body is at most `LOOP_BODY_BYTES`, and the
+//! loop's handler calls of this wake have run for less than
+//! `LOOP_WAKE_BUDGET`. So a connection holds the loop for at most one
+//! such handler call per wake, and one wake spends at most the budget
+//! plus one handler call at the body bound in handlers, however many
+//! connections are ready: past the budget the wake's remaining
+//! requests go to the workers, which answer them in parallel.
+//! Pipelined requests, larger bodies and floods go to the workers too
+//! and keep the queue's overload contract. A panicking handler answers
+//! `500`, on the loop and on a worker alike, and the thread serves on.
+//! The node marks its single and bulk price quotes loop-safe (they
+//! read a published generation and never solve); the router marks
+//! nothing.
 //!
 //! Per connection the reactor keeps a small state machine: an input
 //! buffer fed to [`crate::http::parse_request`], a sequence counter
@@ -53,28 +76,39 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What the reactor serves: a classifier and a handler run on the
-/// worker threads, plus the instruments the reactor records for every
-/// request.
+/// What the reactor serves: a classifier, the routes the event loop
+/// may answer itself, and a handler, plus the instruments the reactor
+/// records for every request.
 pub trait Service: Sync {
-    /// Per-worker state, built once on each worker thread (the router
-    /// keeps its backend connections here).
+    /// Per-thread handler state, built once on each worker thread and,
+    /// at its first loop-safe request, on the event loop, and rebuilt
+    /// after a handler panics (the router keeps its backend
+    /// connections here).
     type Worker;
     /// A classified request: what [`Service::handle`] dispatches on.
-    type Route: Copy;
+    type Route: Copy + Send;
     /// Name of the root span each traced request opens, backdated to
-    /// when the request was parsed.
+    /// when the event loop woke to read the request.
     const ROOT_SPAN: &'static str;
     fn worker(&self) -> Self::Worker;
-    /// Classify one request, once: its route, and the route's slot in
-    /// [`TierTelemetry::endpoints`].
+    /// Classify one request, once, on the event loop: its route, and
+    /// the route's slot in [`TierTelemetry::endpoints`].
     fn route(&self, request: &Request) -> (Self::Route, usize);
-    /// Answer one classified request; runs on a worker thread, never
-    /// on the event loop.
+    /// Whether the event loop may answer `route` itself instead of
+    /// queueing it for a worker. While such a handler runs no other
+    /// connection is served, so only a route that never blocks and
+    /// does work bounded by its request's size qualifies. No route
+    /// does by default.
+    fn loop_safe(&self, _route: Self::Route) -> bool {
+        false
+    }
+    /// Answer one classified request: on a worker thread, or on the
+    /// event loop for a [`loop_safe`](Service::loop_safe) route.
     fn handle(&self, worker: &mut Self::Worker, route: Self::Route, request: &Request) -> Response;
     fn tier(&self) -> &TierTelemetry;
 }
@@ -93,9 +127,11 @@ pub struct TierTelemetry {
     /// answered `503` because the ready-queue was full.
     pub connections_rejected: Arc<Counter>,
     pub connections_active: Arc<Gauge>,
-    /// Ready-queue hand-off latency: time from a request being parsed
-    /// on the reactor to a worker picking it up. Separates tier wait
-    /// from handler latency in `/metrics`.
+    /// Hand-off latency: time from the event loop waking to read a
+    /// request to its handler starting. A queued request waits here
+    /// for a worker; one the loop answers itself waits only while the
+    /// loop reads and parses after that wake. Separates tier wait from
+    /// handler latency in `/metrics`.
     pub queue_wait: Arc<Histogram>,
 }
 
@@ -122,6 +158,17 @@ impl Service for AppState {
         (endpoint, endpoint as usize)
     }
 
+    /// Single and bulk price quotes only read a published generation
+    /// under the campaign's `RwLock` and never solve. Everything else
+    /// waits for a worker: `/healthz` walks every shard map, any
+    /// observation may re-solve, and solves are the heavy work itself.
+    fn loop_safe(&self, endpoint: Endpoint) -> bool {
+        matches!(
+            endpoint,
+            Endpoint::CampaignPrice | Endpoint::CampaignsQuotes
+        )
+    }
+
     fn handle(&self, _: &mut (), endpoint: Endpoint, request: &Request) -> Response {
         router::dispatch(self, endpoint, request)
     }
@@ -146,11 +193,34 @@ const READ_CHUNK: usize = 16 * 1024;
 /// this grace so `serve()` returns promptly.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// One parsed request on its way to a worker.
-struct Job {
+/// Largest body a loop-safe request may carry and still be answered on
+/// the event loop; a larger one waits for a worker. This bounds how
+/// long one request stalls every other connection: 8 KiB holds 208
+/// bulk quote items, 3× ftbench's 2.5 KB 64-item body, and the node's
+/// handler took 0.29 ms at p50 (0.33 ms at p99) on such a body against
+/// 64 solved §5.2 campaigns (2-vCPU KVM guest). The request limit,
+/// `MAX_BODY_BYTES`, is 1024× larger.
+const LOOP_BODY_BYTES: usize = 8 * 1024;
+
+/// How long the loop's own handler calls may run in one wake; once they
+/// have, every further request of that wake goes to the workers. With
+/// [`LOOP_BODY_BYTES`] this bounds the handler time of one wake at the
+/// budget plus one call at the body bound (≈0.6 ms on the guest above),
+/// not ready connections × handler time, and hands a busy wake's
+/// remaining requests to the workers to answer in parallel. The first
+/// loop-safe request of a wake always fits, and two 64-item bulk
+/// quotes (≈0.1 ms each) fit together.
+const LOOP_WAKE_BUDGET: Duration = Duration::from_micros(250);
+
+/// One parsed, classified request on its way to its handler.
+struct Job<R> {
     token: u64,
     seq: u64,
+    route: R,
+    /// The route's slot in [`TierTelemetry::endpoints`].
+    slot: usize,
     request: Request,
+    /// When the event loop woke to read the request.
     queued_at: Instant,
 }
 
@@ -158,25 +228,24 @@ struct Job {
 struct Completion {
     token: u64,
     seq: u64,
-    response: Response,
-    keep_alive: bool,
+    outbound: Outbound,
 }
 
 /// The bounded ready-queue between the reactor and the worker pool —
 /// the same Mutex+Condvar shape the old connection queue had, but
 /// holding parsed requests instead of raw sockets.
-struct JobQueue {
-    inner: Mutex<JobsInner>,
+struct JobQueue<R> {
+    inner: Mutex<JobsInner<R>>,
     not_empty: Condvar,
     capacity: usize,
 }
 
-struct JobsInner {
-    queue: std::collections::VecDeque<Job>,
+struct JobsInner<R> {
+    queue: std::collections::VecDeque<Job<R>>,
     closed: bool,
 }
 
-impl JobQueue {
+impl<R> JobQueue<R> {
     fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(JobsInner {
@@ -191,7 +260,7 @@ impl JobQueue {
     /// Enqueue unless full or closed; hands the job back on rejection
     /// so the reactor can answer 503 at the job's sequence slot.
     #[allow(clippy::result_large_err)] // rejection must return the whole job
-    fn try_push(&self, job: Job) -> Result<(), Job> {
+    fn try_push(&self, job: Job<R>) -> Result<(), Job<R>> {
         // Poisoning policy (see ft-audit L5): a worker that panicked
         // while holding the queue lock must not cascade panics through
         // the serving tier — the queue is a VecDeque plus a flag, valid
@@ -209,7 +278,7 @@ impl JobQueue {
 
     /// Blocking pop; `None` only after `close()` *and* the queue has
     /// drained — already-parsed requests are answered, not dropped.
-    fn pop(&self) -> Option<Job> {
+    fn pop(&self) -> Option<Job<R>> {
         // Poisoning policy: recover, as in `try_push`.
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -352,61 +421,9 @@ pub fn serve<S: Service>(
             let completions = Arc::clone(&completions);
             let wake = Arc::clone(&wake_tx);
             s.spawn(move || {
-                let mut worker = service.worker();
-                let tier = service.tier();
+                let mut worker = Some(service.worker());
                 while let Some(job) = jobs.pop() {
-                    let queue_wait = job.queued_at.elapsed();
-                    tier.queue_wait.record_duration(queue_wait);
-                    let (route, slot) = service.route(&job.request);
-                    let endpoint = &tier.endpoints[slot];
-                    // Trace when the client asked for it (x-ft-trace)
-                    // or on the organic 1-in-1024 sample. The root span
-                    // is backdated to when the request was parsed, so
-                    // the tier hand-off shows up as a `queue_wait`
-                    // child instead of vanishing between spans, and its
-                    // trace is filed under the endpoint's label.
-                    let trace_id = job
-                        .request
-                        .trace
-                        .or_else(|| ft_trace::sample(1024).then(ft_trace::next_trace_id));
-                    let dequeued_ns = ft_trace::now_ns();
-                    let queued_ns = dequeued_ns
-                        .saturating_sub(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
-                    let root = ft_trace::begin_at(
-                        trace_id.unwrap_or(0),
-                        S::ROOT_SPAN,
-                        endpoint.label,
-                        queued_ns,
-                    );
-                    ft_trace::record("server.reactor.queue_wait", queued_ns, dequeued_ns);
-                    let started = Instant::now();
-                    let mut response = service.handle(&mut worker, route, &job.request);
-                    let elapsed = started.elapsed();
-                    drop(root);
-                    endpoint.requests.inc();
-                    endpoint.latency.record_duration(elapsed);
-                    if let Some(trace_id) = trace_id {
-                        // The traced tail becomes the histogram's
-                        // exemplar, so `/metrics` points at an openable
-                        // trace.
-                        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-                        endpoint.latency.offer_exemplar(ns, trace_id);
-                    }
-                    match response.status {
-                        200..=299 => tier.responses_2xx.inc(),
-                        500..=599 => tier.responses_5xx.inc(),
-                        _ => tier.responses_4xx.inc(),
-                    }
-                    // Echo the client's trace id, or the sampled one, so
-                    // the caller can fetch the span tree (propagation is
-                    // a wire contract).
-                    response.trace = trace_id;
-                    // During shutdown, answer the request in hand but
-                    // decline the keep-alive so the connection closes.
-                    // ORDERING: Acquire pairs with the Release store in
-                    // `ServerHandle::shutdown` — seeing the flag also
-                    // sees any state the shutdown caller settled first.
-                    let keep_alive = job.request.keep_alive && !shutdown.load(Ordering::Acquire);
+                    let outbound = answer(service, &mut worker, &job, shutdown);
                     completions
                         .lock()
                         // Poisoning policy (ft-audit L5): a panicking
@@ -416,8 +433,7 @@ pub fn serve<S: Service>(
                         .push(Completion {
                             token: job.token,
                             seq: job.seq,
-                            response,
-                            keep_alive,
+                            outbound,
                         });
                     // Nonblocking one-byte poke; a full pipe already
                     // guarantees a pending wakeup.
@@ -427,11 +443,14 @@ pub fn serve<S: Service>(
         }
 
         let mut reactor = Reactor {
+            service,
             epoll: &epoll,
             listener: &listener,
-            tier: service.tier(),
             config: &config,
             jobs: &jobs,
+            shutdown,
+            worker: None,
+            loop_spent: Duration::ZERO,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             draining: false,
@@ -442,14 +461,7 @@ pub fn serve<S: Service>(
             let timeout = reactor.wait_timeout();
             let n = epoll.wait(&mut events, timeout).unwrap_or_default();
             let now = Instant::now();
-
-            // ORDERING: Acquire pairs with the Release store of whoever
-            // sets `shutdown` (same pairing as the worker-side load
-            // above).
-            if shutdown.load(Ordering::Acquire) && !reactor.draining {
-                reactor.begin_drain(now);
-                jobs.close();
-            }
+            reactor.loop_spent = Duration::ZERO;
 
             for event in &events[..n] {
                 let (readiness, token) = event.readiness();
@@ -470,6 +482,18 @@ pub fn serve<S: Service>(
                 reactor.complete(completion, now);
             }
 
+            // Checked after the events, not before them: a client that
+            // read an answer the loop wrote while still accepting can set
+            // the flag and connect its shutdown poke before the accept
+            // loop ends, and that loop then takes the poke, which no
+            // later wait would report.
+            // ORDERING: Acquire pairs with the Release store of whoever
+            // sets `shutdown` (same pairing as the load in `answer`).
+            if shutdown.load(Ordering::Acquire) && !reactor.draining {
+                reactor.begin_drain(now);
+                jobs.close();
+            }
+
             reactor.expire(now);
 
             if reactor.draining && reactor.conns.is_empty() {
@@ -479,18 +503,99 @@ pub fn serve<S: Service>(
     });
 }
 
-struct Reactor<'a> {
+/// The request envelope, the one place a request is recorded, on a
+/// worker and on the event loop alike: record the hand-off wait, open
+/// the root span, time the handler call alone, bump the endpoint's
+/// counter and latency histogram, count the status class, and echo the
+/// trace id. A panicking handler answers `500`, and the caller's
+/// `worker` state, which the panic may have left half-updated, is
+/// rebuilt for its next request; the thread serves on.
+fn answer<S: Service>(
+    service: &S,
+    worker: &mut Option<S::Worker>,
+    job: &Job<S::Route>,
+    shutdown: &AtomicBool,
+) -> Outbound {
+    let tier = service.tier();
+    let queue_wait = job.queued_at.elapsed();
+    tier.queue_wait.record_duration(queue_wait);
+    let endpoint = &tier.endpoints[job.slot];
+    // Trace when the client asked for it (x-ft-trace) or on the organic
+    // 1-in-1024 sample. The root span is backdated to when the loop woke
+    // to read the request, so the tier hand-off shows up as a
+    // `queue_wait` child instead of vanishing between spans, and its
+    // trace is filed under the endpoint's label.
+    let trace_id = job
+        .request
+        .trace
+        .or_else(|| ft_trace::sample(1024).then(ft_trace::next_trace_id));
+    let dequeued_ns = ft_trace::now_ns();
+    let queued_ns =
+        dequeued_ns.saturating_sub(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
+    let root = ft_trace::begin_at(
+        trace_id.unwrap_or(0),
+        S::ROOT_SPAN,
+        endpoint.label,
+        queued_ns,
+    );
+    ft_trace::record("server.reactor.queue_wait", queued_ns, dequeued_ns);
+    let state = worker.get_or_insert_with(|| service.worker());
+    let started = Instant::now();
+    let mut response = panic::catch_unwind(AssertUnwindSafe(|| {
+        service.handle(state, job.route, &job.request)
+    }))
+    .unwrap_or_else(|_| {
+        *worker = None;
+        Response::error(500, "internal_error", "request handler panicked")
+    });
+    let elapsed = started.elapsed();
+    drop(root);
+    endpoint.requests.inc();
+    endpoint.latency.record_duration(elapsed);
+    if let Some(trace_id) = trace_id {
+        // The traced tail becomes the histogram's exemplar, so
+        // `/metrics` points at an openable trace.
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        endpoint.latency.offer_exemplar(ns, trace_id);
+    }
+    match response.status {
+        200..=299 => tier.responses_2xx.inc(),
+        500..=599 => tier.responses_5xx.inc(),
+        _ => tier.responses_4xx.inc(),
+    }
+    // Echo the client's trace id, or the sampled one, so the caller can
+    // fetch the span tree (propagation is a wire contract).
+    response.trace = trace_id;
+    // During shutdown, answer the request in hand but decline the
+    // keep-alive so the connection closes.
+    // ORDERING: Acquire pairs with the Release store in
+    // `ServerHandle::shutdown` — seeing the flag also sees any state the
+    // shutdown caller settled first.
+    let keep_alive = job.request.keep_alive && !shutdown.load(Ordering::Acquire);
+    Outbound {
+        response,
+        keep_alive,
+    }
+}
+
+struct Reactor<'a, S: Service> {
+    service: &'a S,
     epoll: &'a Epoll,
     listener: &'a TcpListener,
-    tier: &'a TierTelemetry,
     config: &'a ServerConfig,
-    jobs: &'a JobQueue,
+    jobs: &'a JobQueue<S::Route>,
+    shutdown: &'a AtomicBool,
+    /// The loop's own handler state, built at its first loop-safe
+    /// request.
+    worker: Option<S::Worker>,
+    /// Time spent answering on the loop in this wake.
+    loop_spent: Duration,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     draining: bool,
 }
 
-impl Reactor<'_> {
+impl<S: Service> Reactor<'_, S> {
     /// Sleep until the nearest idle deadline (the shutdown poke and the
     /// worker wake pipe interrupt an indefinite wait).
     fn wait_timeout(&self) -> Option<Duration> {
@@ -533,9 +638,9 @@ impl Reactor<'_> {
                     break;
                 }
             };
-            self.tier.connections_accepted.inc();
+            self.service.tier().connections_accepted.inc();
             if self.conns.len() >= self.config.max_connections {
-                self.tier.connections_rejected.inc();
+                self.service.tier().connections_rejected.inc();
                 reject_busy(stream);
                 continue;
             }
@@ -559,7 +664,7 @@ impl Reactor<'_> {
             {
                 continue;
             }
-            self.tier.connections_active.inc();
+            self.service.tier().connections_active.inc();
             self.conns.insert(
                 token,
                 Conn::new(stream, now + self.config.first_request_timeout),
@@ -571,34 +676,30 @@ impl Reactor<'_> {
     }
 
     fn conn_ready(&mut self, token: u64, readiness: u32, now: Instant) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        if !self.conns.contains_key(&token) {
             return;
-        };
+        }
         if readiness & (EPOLLERR | EPOLLHUP) != 0 {
             self.drop_conn(token);
             return;
         }
         if readiness & (EPOLLIN | EPOLLRDHUP) != 0
-            && Self::read_and_parse(conn, token, self.jobs, self.tier, self.config, now)
-                == Verdict::Drop
+            && self.read_and_parse(token, now) == Verdict::Drop
         {
             self.drop_conn(token);
             return;
         }
-        if readiness & EPOLLOUT != 0 {
-            self.after_write(token, now);
-        }
+        // Write what is ready (the rest of a buffer on EPOLLOUT, or an
+        // answer the loop just made) and apply the connection's
+        // post-write fate, so a loop-written answer re-arms the
+        // keep-alive deadline too.
+        self.after_write(token, now);
     }
 
-    /// Drain the socket, feed the parser, dispatch parsed requests.
-    fn read_and_parse(
-        conn: &mut Conn,
-        token: u64,
-        jobs: &JobQueue,
-        tier: &TierTelemetry,
-        config: &ServerConfig,
-        now: Instant,
-    ) -> Verdict {
+    /// Drain the socket, feed the parser, and answer or queue each
+    /// parsed request.
+    fn read_and_parse(&mut self, token: u64, now: Instant) -> Verdict {
+        let conn = self.conns.get_mut(&token).expect("conn present");
         if !conn.closing {
             let mut scratch = [0u8; READ_CHUNK];
             loop {
@@ -613,27 +714,51 @@ impl Reactor<'_> {
                     Err(_) => return Verdict::Drop,
                 }
             }
+            let first_seq = conn.next_seq;
             while !conn.closing {
                 match parse_request(&conn.buf) {
                     Ok(Some((request, consumed))) => {
                         conn.buf.drain(..consumed);
+                        // Earlier requests on this connection still
+                        // waiting for a handler (answered ones sit in
+                        // `pending` or have been written).
+                        let unanswered = conn.next_seq - conn.write_seq - conn.pending.len() as u64;
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         if !request.keep_alive {
                             conn.closing = true;
                         }
+                        let (route, slot) = self.service.route(&request);
                         let job = Job {
                             token,
                             seq,
+                            route,
+                            slot,
                             request,
                             queued_at: now,
                         };
-                        if let Err(job) = jobs.try_push(job) {
+                        // The loop answers at most one request per
+                        // connection per pass, in order, and small, and
+                        // only while its wake's handler budget lasts:
+                        // its stall on every other connection stays
+                        // bounded.
+                        if seq == first_seq
+                            && unanswered == 0
+                            && job.request.body.len() <= LOOP_BODY_BYTES
+                            && self.service.loop_safe(route)
+                            && self.loop_spent < LOOP_WAKE_BUDGET
+                        {
+                            let started = Instant::now();
+                            let outbound =
+                                answer(self.service, &mut self.worker, &job, self.shutdown);
+                            self.loop_spent += started.elapsed();
+                            conn.pending.push((seq, outbound));
+                        } else if let Err(job) = self.jobs.try_push(job) {
                             // Ready-queue full: the bounded-in-flight
                             // contract answers 503 at this request's
                             // slot and closes the connection after the
                             // in-order flush.
-                            tier.connections_rejected.inc();
+                            self.service.tier().connections_rejected.inc();
                             conn.pending.push((
                                 job.seq,
                                 Outbound {
@@ -671,15 +796,14 @@ impl Reactor<'_> {
         if conn.idle() && conn.pending.is_empty() {
             conn.deadline = Some(
                 now + if conn.served_any {
-                    config.keep_alive_timeout
+                    self.config.keep_alive_timeout
                 } else {
-                    config.first_request_timeout
+                    self.config.first_request_timeout
                 },
             );
         } else {
             conn.deadline = None;
         }
-        Self::flush(conn);
         Verdict::Keep
     }
 
@@ -689,13 +813,7 @@ impl Reactor<'_> {
         let Some(conn) = self.conns.get_mut(&completion.token) else {
             return; // connection already dropped (timeout, error, drain)
         };
-        conn.pending.push((
-            completion.seq,
-            Outbound {
-                response: completion.response,
-                keep_alive: completion.keep_alive,
-            },
-        ));
+        conn.pending.push((completion.seq, completion.outbound));
         self.after_write(completion.token, now);
     }
 
@@ -786,7 +904,7 @@ impl Reactor<'_> {
     fn drop_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.tier.connections_active.dec();
+            self.service.tier().connections_active.dec();
         }
     }
 }

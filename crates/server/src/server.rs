@@ -1,8 +1,9 @@
 //! The TCP front: a single **epoll reactor** thread multiplexing every
-//! connection, feeding a fixed pool of handler threads through a
-//! bounded ready-queue of parsed requests (std only — no async runtime
-//! is available offline; see `reactor.rs` for the event loop and
-//! `sys.rs` for the raw epoll bindings).
+//! connection, answering loop-safe requests (the node's price quotes)
+//! itself and feeding every other one to a fixed pool of handler
+//! threads through a bounded ready-queue of parsed requests (std only
+//! — no async runtime is available offline; see `reactor.rs` for the
+//! event loop and `sys.rs` for the raw epoll bindings).
 //!
 //! Two designs preceded this one. Thread-per-connection meant a
 //! connection flood grew the thread count without bound. The blocking
@@ -19,14 +20,19 @@
 //! [`Server::start`]: that one thread per tier, the reactor, is the
 //! only thread either tier spawns outside the reactor's scoped workers.
 //!
-//! The overload contract is unchanged: in-flight requests are bounded
-//! by `workers + queue_depth`, and a request that finds the
-//! ready-queue full is answered `503 server_busy`. `ft-load`'s flood
-//! phase and `tests/pool.rs` exercise exactly this. Connection
-//! accounting flows into the shared metrics plane
+//! The overload contract is unchanged: requests waiting for or held by
+//! a worker are bounded by `workers + queue_depth`, and a request that
+//! finds the ready-queue full is answered `503 server_busy`. A request
+//! the loop answers itself never enters the queue: the loop finishes
+//! it before reading further, so at most one such request is in flight
+//! at a time, on top of that bound. `ft-load`'s flood phase and
+//! `tests/flood.rs` exercise exactly this. Connection accounting flows
+//! into the shared metrics plane
 //! (`ft_server_connections_{accepted,rejected}_total`,
-//! `ft_server_connections_active`), and the queue hand-off latency is
-//! measured as `ft_server_queue_wait_ns`.
+//! `ft_server_connections_active`), and the hand-off latency from the
+//! loop's wake to the handler's start is measured as
+//! `ft_server_queue_wait_ns`; for a request the loop answers it covers
+//! only the loop's own reading and parsing.
 
 use crate::reactor::{self, Service};
 use crate::state::AppState;
@@ -49,9 +55,11 @@ use std::time::Duration;
 /// bounds both sides and the handlers don't fight the pool for it.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Handler threads. The server's total thread count is `workers + 1`
-    /// (the reactor) plus the shared `ft-exec` pool, regardless of how
-    /// many clients connect.
+    /// Handler threads for every request the event loop does not answer
+    /// itself (it answers only loop-safe routes: the node's price
+    /// quotes). The server's total thread count is `workers + 1` (the
+    /// reactor) plus the shared `ft-exec` pool, regardless of how many
+    /// clients connect.
     pub workers: usize,
     /// Parsed requests allowed to wait for a free worker before
     /// further requests are answered `503`. Together with `workers`

@@ -158,7 +158,8 @@ fn telemetry(metrics: &MetricsRegistry) -> TierTelemetry {
     }
 }
 
-/// Everything a handler thread needs: built once per server.
+/// Everything a handler needs, on a worker or on the event loop: built
+/// once per server.
 pub struct AppState {
     pub registry: Arc<CampaignRegistry>,
     pub telemetry: TierTelemetry,

@@ -1,9 +1,9 @@
-//! Serving-tier behaviour over real sockets: a request flood against a
-//! saturated worker pool is survived with a **bounded thread count**
-//! (excess requests get a clean `503 server_busy`, and the tier
-//! recovers once the held work drains), shutdown is prompt, the fleet
-//! index pages, and `/metrics` reflects what the server actually did,
-//! in both formats.
+//! Serving-tier behaviour over real sockets: loop-safe requests are
+//! answered on the event loop only within its bounds, a panicking
+//! handler costs one `500` on the loop and on a worker alike, shutdown
+//! is prompt, the fleet index pages, and `/metrics` reflects what the
+//! server actually did, in both formats. (The flood test, which counts
+//! the process's threads, has its own binary: `tests/flood.rs`.)
 
 use ft_core::registry::CampaignRegistry;
 use ft_core::{DeadlineProblem, PenaltyModel};
@@ -16,7 +16,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Value) {
     let (status, body) = ft_server::client::request(addr, method, path, body).expect("request");
@@ -43,23 +43,15 @@ fn problem_json() -> String {
     serde_json::to_string(&problem.to_value()).expect("problem json")
 }
 
-/// Current thread count of this process (Linux; the CI and dev
-/// containers are Linux — elsewhere the bound check is skipped).
-use ft_exec::process_threads as thread_count;
-
-/// Send one keep-alive request and read the response, returning the
-/// still-open stream (its handler thread stays parked in `read`).
-fn hold_keep_alive(addr: SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
-    )
-    .expect("write");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+/// Read one response off a keep-alive stream: its status and body.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
     let mut line = String::new();
     reader.read_line(&mut line).expect("status line");
-    assert!(line.contains("200"), "keep-alive probe failed: {line}");
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line: {line:?}"));
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
@@ -75,13 +67,37 @@ fn hold_keep_alive(addr: SocketAddr) -> TcpStream {
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).expect("body");
+    (status, String::from_utf8(body).expect("utf-8 body"))
+}
+
+/// Send one keep-alive request and read the response, returning the
+/// still-open stream (its handler thread stays parked in `read`).
+fn hold_keep_alive(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    )
+    .expect("write");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "keep-alive probe failed: {body}");
     stream
 }
 
+/// Name of the thread [`GatedServer::start`] runs the event loop on.
+/// Its scoped workers have no name of their own (Linux shows them
+/// under the loop's), so a handler on one reports `worker`.
+const LOOP_THREAD: &str = "gated-loop";
+
 /// A service whose `GET /hold` keeps its worker until the test opens
-/// the gate, announcing on `holding` that it has started; every other
-/// request is answered `200` at once. The flood test saturates the
-/// reactor with it, independent of how fast any real handler runs.
+/// the gate, announcing on `holding` that it has started. Paths under
+/// `/loop/` are loop-safe: `/loop/hold` holds the event loop itself the
+/// same way, and `/loop/nap` announces itself and sleeps 50 ms.
+/// `/panic` and `/loop/panic` panic. Every other answer is `200` with
+/// the path and the name of the thread that served it, so a test sees
+/// whether the loop or a worker answered, independent of how fast any
+/// real handler runs.
 struct Gated {
     open: Mutex<bool>,
     opened: Condvar,
@@ -98,24 +114,45 @@ impl Gated {
 
 impl Service for Gated {
     type Worker = ();
-    type Route = ();
+    /// Whether the path is loop-safe.
+    type Route = bool;
     const ROOT_SPAN: &'static str = "test.gate.serve";
 
     fn worker(&self) {}
 
-    fn route(&self, _: &Request) -> ((), usize) {
-        ((), 0)
+    fn route(&self, request: &Request) -> (bool, usize) {
+        (request.path.starts_with("/loop/"), 0)
     }
 
-    fn handle(&self, _: &mut (), _: (), request: &Request) -> Response {
-        if request.path == "/hold" {
-            let _ = self.holding.send(());
-            let mut open = self.open.lock().expect("gate");
-            while !*open {
-                open = self.opened.wait(open).expect("gate");
+    fn loop_safe(&self, on_loop: bool) -> bool {
+        on_loop
+    }
+
+    fn handle(&self, _: &mut (), _: bool, request: &Request) -> Response {
+        match request.path.as_str() {
+            "/hold" | "/loop/hold" => {
+                let _ = self.holding.send(());
+                let mut open = self.open.lock().expect("gate");
+                while !*open {
+                    open = self.opened.wait(open).expect("gate");
+                }
             }
+            "/loop/nap" => {
+                let _ = self.holding.send(());
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            "/panic" | "/loop/panic" => panic!("a handler failed"),
+            _ => {}
         }
-        Response::json(200, "{}".to_string())
+        let thread = std::thread::current();
+        Response::json(
+            200,
+            format!(
+                "{{\"path\":\"{}\",\"thread\":\"{}\"}}",
+                request.path,
+                thread.name().unwrap_or("worker")
+            ),
+        )
     }
 
     fn tier(&self) -> &TierTelemetry {
@@ -123,127 +160,350 @@ impl Service for Gated {
     }
 }
 
+/// A [`Gated`] service served on [`LOOP_THREAD`].
+struct GatedServer {
+    service: Arc<Gated>,
+    addr: SocketAddr,
+    holding: mpsc::Receiver<()>,
+    shutdown: Arc<AtomicBool>,
+    join: std::thread::JoinHandle<()>,
+}
+
+impl GatedServer {
+    fn start(config: ServerConfig) -> Self {
+        let metrics = MetricsRegistry::new();
+        let (holding_tx, holding) = mpsc::channel();
+        let service = Arc::new(Gated {
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            holding: holding_tx,
+            tier: TierTelemetry {
+                endpoints: vec![EndpointTelemetry {
+                    label: "any",
+                    requests: metrics.counter("ft_test_requests_total"),
+                    latency: metrics.histogram("ft_test_request_ns"),
+                }],
+                responses_2xx: metrics.counter("ft_test_responses_total{class=\"2xx\"}"),
+                responses_4xx: metrics.counter("ft_test_responses_total{class=\"4xx\"}"),
+                responses_5xx: metrics.counter("ft_test_responses_total{class=\"5xx\"}"),
+                connections_accepted: metrics.counter("ft_test_connections_accepted_total"),
+                connections_rejected: metrics.counter("ft_test_connections_rejected_total"),
+                connections_active: metrics.gauge("ft_test_connections_active"),
+                queue_wait: metrics.histogram("ft_test_queue_wait_ns"),
+            },
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let join = {
+            let service = Arc::clone(&service);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::Builder::new()
+                .name(LOOP_THREAD.into())
+                .spawn(move || ft_server::serve(listener, &*service, config, &shutdown))
+                .expect("spawn the event loop")
+        };
+        Self {
+            service,
+            addr,
+            holding,
+            shutdown,
+            join,
+        }
+    }
+
+    /// Wait until `n` held (or napping) requests have started.
+    fn await_holding(&self, n: usize) {
+        for _ in 0..n {
+            self.holding
+                .recv_timeout(Duration::from_secs(10))
+                .expect("no thread picked up the held request");
+        }
+    }
+
+    fn stop(self) {
+        self.service.release();
+        self.shutdown.store(true, Ordering::Release);
+        let _ = TcpStream::connect(self.addr);
+        self.join.join().expect("server thread");
+    }
+}
+
+/// A string field of a [`Gated`] answer.
+fn field(status: u16, body: &str, key: &str) -> String {
+    assert_eq!(status, 200, "{body}");
+    let body: Value = serde_json::from_str(body).expect("json");
+    map_get(body.as_map().expect("object"), key)
+        .unwrap_or_else(|_| panic!("missing {key}"))
+        .as_str()
+        .unwrap_or_else(|| panic!("{key} not a string"))
+        .to_string()
+}
+
+/// The thread that answered a [`Gated`] request.
+fn served_by(status: u16, body: &str) -> String {
+    field(status, body, "thread")
+}
+
+/// One request on a fresh connection: the thread that answered it.
+fn thread_of(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> String {
+    let (status, body) = ft_server::client::request(addr, method, path, body).expect("request");
+    served_by(status, &body)
+}
+
 /// Fire a request without reading the response: the connection stays
 /// open with the request in flight, occupying a worker (or a ready-
 /// queue slot) until the handler finishes — no client thread needed.
-fn send_unread(addr: SocketAddr, method: &str, path: &str) -> TcpStream {
+fn send_unread(addr: SocketAddr, path: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
-    )
-    .expect("write");
+    send(&mut stream, path);
     stream
 }
 
+/// Write one bodiless `GET` on an open connection.
+fn send(stream: &mut TcpStream, path: &str) {
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    )
+    .expect("write");
+}
+
+/// The next answer on `stream`, failing the test past 10 s instead of
+/// hanging it.
+fn answer_on(stream: &TcpStream) -> (u16, String) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    read_response(&mut BufReader::new(stream.try_clone().expect("clone")))
+}
+
 #[test]
-fn request_flood_is_survived_with_bounded_threads() {
-    let metrics = MetricsRegistry::new();
-    let (holding_tx, holding) = mpsc::channel();
-    let service = Arc::new(Gated {
-        open: Mutex::new(false),
-        opened: Condvar::new(),
-        holding: holding_tx,
-        tier: TierTelemetry {
-            endpoints: vec![EndpointTelemetry {
-                label: "any",
-                requests: metrics.counter("ft_test_requests_total"),
-                latency: metrics.histogram("ft_test_request_ns"),
-            }],
-            responses_2xx: metrics.counter("ft_test_responses_total{class=\"2xx\"}"),
-            responses_4xx: metrics.counter("ft_test_responses_total{class=\"4xx\"}"),
-            responses_5xx: metrics.counter("ft_test_responses_total{class=\"5xx\"}"),
-            connections_accepted: metrics.counter("ft_test_connections_accepted_total"),
-            connections_rejected: metrics.counter("ft_test_connections_rejected_total"),
-            connections_active: metrics.gauge("ft_test_connections_active"),
-            queue_wait: metrics.histogram("ft_test_queue_wait_ns"),
-        },
-    });
-    let config = ServerConfig {
-        workers: 1,
-        queue_depth: 1,
+fn loop_safe_route_answers_while_every_worker_is_held() {
+    let server = GatedServer::start(ServerConfig {
+        workers: 2,
         ..ServerConfig::default()
-    };
-    // The shared ft-exec pool spawns lazily on the first parallel
-    // dispatch anywhere in the process (e.g. a solve in a concurrently
-    // running test); force it up *before* the baseline so the delta
-    // below measures only connection handling.
-    let _ = ft_exec::Pool::global();
-    let baseline = thread_count();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let server = {
-        let service = Arc::clone(&service);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || ft_server::serve(listener, &*service, config, &shutdown))
-    };
+    });
+    let addr = server.addr;
+    let holds: Vec<TcpStream> = (0..2).map(|_| send_unread(addr, "/hold")).collect();
+    server.await_holding(2);
 
-    // Two held requests: the first occupies the only worker, the
-    // second fills the one-slot ready-queue. The second is sent only
-    // once the worker holds the first, so it cannot race the pop.
-    let hold_a = send_unread(addr, "GET", "/hold");
-    holding
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the worker never picked up the first hold");
-    let hold_b = send_unread(addr, "GET", "/hold");
-    std::thread::sleep(Duration::from_millis(100)); // let the reactor parse + enqueue it
+    // No worker is free, yet the loop answers the loop-safe route.
+    assert_eq!(thread_of(addr, "GET", "/loop/quick", None), LOOP_THREAD);
 
-    // Flood. Every further request must be answered with a clean 503,
-    // not a new thread — and *in order* on its own connection.
-    let mut rejected = 0;
-    for _ in 0..8 {
-        let (status, body) =
-            ft_server::client::request(addr, "GET", "/healthz", None).expect("request");
-        assert_eq!(status, 503, "expected server_busy, got {status}: {body}");
+    server.service.release();
+    for hold in holds {
+        let mut reader = BufReader::new(hold);
+        let (status, body) = read_response(&mut reader);
+        assert_ne!(served_by(status, &body), LOOP_THREAD);
+    }
+    server.stop();
+}
+
+#[test]
+fn pipelined_loop_safe_requests_behind_a_held_one_answer_in_order() {
+    let server = GatedServer::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    let request =
+        |path: &str| format!("GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n");
+    let burst = [request("/loop/first"), request("/hold")].concat();
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // The first is the loop's to answer and is written at once; the
+    // held one occupies the only worker.
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(field(status, &body, "path"), "/loop/first");
+    assert_eq!(served_by(status, &body), LOOP_THREAD);
+    server.await_holding(1);
+
+    // The third is the first request of its read pass, but an earlier
+    // one is unanswered: a worker answers it, after the held one.
+    stream
+        .write_all(request("/loop/third").as_bytes())
+        .expect("write third");
+    std::thread::sleep(Duration::from_millis(50)); // let the reactor parse + enqueue it
+    server.service.release();
+    for path in ["/hold", "/loop/third"] {
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(field(status, &body, "path"), path);
+        assert_ne!(served_by(status, &body), LOOP_THREAD);
+    }
+    server.stop();
+}
+
+#[test]
+fn pipelined_slow_loop_safe_requests_do_not_stall_other_connections() {
+    let server = GatedServer::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr;
+    // Twenty 50 ms naps pipelined on one open connection: on the loop
+    // they would hold it for a second.
+    let mut stream = hold_keep_alive(addr);
+    let nap = "GET /loop/nap HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n";
+    stream
+        .write_all(nap.repeat(20).as_bytes())
+        .expect("write burst");
+    server.await_holding(1); // the first nap has started
+
+    let started = Instant::now();
+    let (status, body) =
+        ft_server::client::request(addr, "GET", "/loop/quick", None).expect("request");
+    assert_eq!(status, 200, "{body}");
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "another connection waited {waited:?} behind the pipelined naps"
+    );
+
+    // Every nap is answered, in order, the first by the loop. Which
+    // thread answers each later one depends on how many read passes
+    // the burst arrived in; the next test pins the one-pass case.
+    let mut reader = BufReader::new(stream);
+    for i in 0..20 {
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(field(status, &body, "path"), "/loop/nap");
+        if i == 0 {
+            assert_eq!(served_by(status, &body), LOOP_THREAD);
+        }
+    }
+    server.stop();
+}
+
+#[test]
+fn the_loop_answers_one_request_per_connection_per_read_pass() {
+    let server = GatedServer::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let (mut holder, mut piped) = (hold_keep_alive(server.addr), hold_keep_alive(server.addr));
+    // Hold the loop itself while two loop-safe requests reach the other
+    // connection: its next read pass finds both, however the kernel
+    // delivered them.
+    send(&mut holder, "/loop/hold");
+    server.await_holding(1);
+    send(&mut piped, "/loop/first");
+    send(&mut piped, "/loop/second");
+    std::thread::sleep(Duration::from_millis(50)); // let both arrive
+    server.service.release();
+
+    let mut reader = BufReader::new(piped);
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(field(status, &body, "path"), "/loop/first");
+    assert_eq!(served_by(status, &body), LOOP_THREAD);
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(field(status, &body, "path"), "/loop/second");
+    assert_ne!(served_by(status, &body), LOOP_THREAD);
+    server.stop();
+}
+
+#[test]
+fn past_its_wake_budget_the_loop_leaves_ready_requests_to_workers() {
+    let server = GatedServer::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr;
+    // Hold the loop while three connections each send a loop-safe nap,
+    // so that its next wake finds all three ready.
+    let mut holder = hold_keep_alive(addr);
+    send(&mut holder, "/loop/hold");
+    server.await_holding(1);
+    let naps: Vec<TcpStream> = (0..3).map(|_| send_unread(addr, "/loop/nap")).collect();
+    std::thread::sleep(Duration::from_millis(50)); // let all three arrive
+    server.service.release();
+
+    // The loop answers one nap, whose 50 ms spend the wake's budget;
+    // the workers answer the other two.
+    let threads: Vec<String> = naps
+        .iter()
+        .map(|stream| {
+            let (status, body) = answer_on(stream);
+            served_by(status, &body)
+        })
+        .collect();
+    let on_loop = threads.iter().filter(|t| *t == LOOP_THREAD).count();
+    assert_eq!(on_loop, 1, "{threads:?}");
+    server.stop();
+}
+
+#[test]
+fn a_body_over_the_loop_bound_is_answered_by_a_worker() {
+    let server = GatedServer::start(ServerConfig::default());
+    let at_bound = "x".repeat(8 * 1024);
+    let over = "x".repeat(8 * 1024 + 1);
+    assert_eq!(
+        thread_of(server.addr, "POST", "/loop/quick", Some(&at_bound)),
+        LOOP_THREAD
+    );
+    assert_ne!(
+        thread_of(server.addr, "POST", "/loop/quick", Some(&over)),
+        LOOP_THREAD
+    );
+    server.stop();
+}
+
+#[test]
+fn a_panicking_handler_answers_500_and_its_thread_serves_on() {
+    // One worker: had its panic killed it, nothing would answer a
+    // worker route afterwards.
+    let server = GatedServer::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    // Open before the panics, so that no panic's wake can accept it.
+    let mut other = hold_keep_alive(server.addr);
+    for (panics, next, thread) in [
+        ("/loop/panic", "/loop/quick", LOOP_THREAD),
+        ("/panic", "/quick", "worker"),
+    ] {
+        let (status, body) = answer_on(&send_unread(server.addr, panics));
+        assert_eq!(status, 500, "{panics}: {body}");
         assert_eq!(
             body,
-            r#"{"error":"server_busy","message":"request queue full, retry"}"#
+            r#"{"error":"internal_error","message":"request handler panicked"}"#
         );
-        rejected += 1;
+        // The same thread answers another connection.
+        send(&mut other, next);
+        let (status, body) = answer_on(&other);
+        assert_eq!(served_by(status, &body), thread);
     }
-    assert_eq!(rejected, 8);
+    assert_eq!(server.service.tier().responses_5xx.get(), 2);
+    server.stop();
+}
 
-    // Thread bound: reactor + workers, never a thread per connection.
-    // (10 connections are open or rejected at this point; the old
-    // thread-per-connection design would sit at baseline + 10.)
-    if let (Some(before), Some(during)) = (baseline, thread_count()) {
-        assert!(
-            during <= before + 1 + config.workers,
-            "thread count grew past the pool bound: {before} -> {during}"
-        );
-    }
+#[test]
+fn a_connection_answered_on_the_loop_expires_after_keep_alive() {
+    let server = GatedServer::start(ServerConfig {
+        keep_alive_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .write_all(b"GET /loop/quick HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")
+        .expect("write");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(served_by(status, &body), LOOP_THREAD);
 
-    // Once the held requests drain, the tier must answer normally.
-    service.release();
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, _) = request(addr, "GET", "/healthz", None);
-        if status == 200 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "server did not recover from the flood"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    drop(hold_a);
-    drop(hold_b);
-
-    // The reactor's accounting: 2 holds + 8 floods + the probe were
-    // accepted, the floods rejected, and both holds passed the queue.
-    let tier = service.tier();
-    assert!(
-        tier.connections_rejected.get() >= 8,
-        "rejections not counted"
-    );
-    assert!(tier.connections_accepted.get() >= 11);
-    assert!(tier.queue_wait.snapshot().count >= 2);
-
-    shutdown.store(true, Ordering::Release);
-    let _ = TcpStream::connect(addr);
-    server.join().expect("server thread");
+    // Idle after a loop-written answer: dropped at the keep-alive
+    // deadline, not the 30 s first-request one, and never left open.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let started = Instant::now();
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the connection was not closed within 5 s");
+    assert!(rest.is_empty(), "unexpected bytes: {rest:?}");
+    assert!(started.elapsed() < Duration::from_secs(5));
+    server.stop();
 }
 
 #[test]

@@ -189,7 +189,10 @@ fn node_metrics_carry_the_reactor_instruments() {
         .expect("count")
         .as_num()
         .expect("numeric count");
-    assert!(count >= 1.0, "no request passed the ready-queue: {count}");
+    assert!(
+        count >= 1.0,
+        "no request recorded its hand-off wait: {count}"
+    );
 
     handle.shutdown();
     join.join().expect("server thread");

@@ -3,8 +3,9 @@
 //! span tree for a tagged request, children nest strictly inside
 //! their parents, and a recalibrating observation's trace covers the
 //! whole stack — server → registry → engine → kernel → exec — with
-//! the reactor hand-off attributed as a `queue_wait` span. A reused
-//! trace id resolves to the latest request's tree alone.
+//! the reactor hand-off attributed as a `queue_wait` span. Price
+//! quotes answered on the event loop keep the whole request envelope.
+//! A reused trace id resolves to the latest request's tree alone.
 
 use ft_core::adaptive::AdaptiveOptions;
 use ft_core::registry::CampaignRegistry;
@@ -57,13 +58,29 @@ fn serve_one(
     ft_server::ServerHandle,
     std::thread::JoinHandle<()>,
 ) {
-    let registry = Arc::new(CampaignRegistry::with_config(
-        KernelConfig::default(),
-        AdaptiveOptions {
-            resolve_every: 3,
-            ..AdaptiveOptions::default()
-        },
-    ));
+    serve_solved(
+        Arc::new(CampaignRegistry::with_config(
+            KernelConfig::default(),
+            AdaptiveOptions {
+                resolve_every: 3,
+                ..AdaptiveOptions::default()
+            },
+        )),
+        config,
+    )
+}
+
+/// Spawn a server over `registry` and register and solve one deadline
+/// campaign through it.
+fn serve_solved(
+    registry: Arc<CampaignRegistry>,
+    config: ServerConfig,
+) -> (
+    SocketAddr,
+    u64,
+    ft_server::ServerHandle,
+    std::thread::JoinHandle<()>,
+) {
     let (handle, join) = Server::spawn_with("127.0.0.1:0", registry, config).expect("bind");
     let addr = handle.addr();
     let problem_json = serde_json::to_string(&problem().to_value()).expect("problem json");
@@ -180,30 +197,118 @@ fn x_ft_trace_echoed_on_unit_and_bulk_endpoints() {
     join.join().expect("server thread");
 }
 
+/// A single price and a 64-item bulk quote are answered on the event
+/// loop, and each still gets the whole request envelope: its
+/// endpoint's counter and latency histogram, one hand-off wait, its
+/// status class, the trace-id echo, and a span tree with the root, the
+/// `queue_wait` child and the registry's quote spans.
+#[test]
+fn loop_answered_quotes_keep_the_request_envelope() {
+    let registry = Arc::new(CampaignRegistry::new());
+    let (addr, id, handle, join) = serve_solved(Arc::clone(&registry), ServerConfig::default());
+    let metrics = registry.metrics();
+    let queue_wait = metrics.histogram("ft_server_queue_wait_ns");
+    let ok = metrics.counter("ft_server_responses_total{class=\"2xx\"}");
+    let items: Vec<String> = (0..64)
+        .map(|i| {
+            format!(
+                "{{\"id\":{id},\"remaining\":{},\"interval\":{}}}",
+                1 + i % 20,
+                i % 12
+            )
+        })
+        .collect();
+    let bulk = format!("{{\"quotes\":[{}]}}", items.join(","));
+    let mut client = Client::new(addr);
+    for (endpoint, method, path, body) in [
+        (
+            "campaign_price",
+            "GET",
+            format!("/campaigns/{id}/price?remaining=20&interval=0"),
+            None,
+        ),
+        (
+            "campaigns_quotes",
+            "POST",
+            "/campaigns/quotes".to_string(),
+            Some(bulk.as_str()),
+        ),
+    ] {
+        let requests = metrics.counter(&format!(
+            "ft_server_requests_total{{endpoint=\"{endpoint}\"}}"
+        ));
+        let latency =
+            metrics.histogram(&format!("ft_server_request_ns{{endpoint=\"{endpoint}\"}}"));
+        let counts = || {
+            (
+                requests.get(),
+                latency.snapshot().count,
+                queue_wait.snapshot().count,
+                ok.get(),
+            )
+        };
+        let before = counts();
+        let trace_id = ft_trace::next_trace_id();
+        let (status, answer, echoed) = client
+            .request_traced(method, &path, body, Some(trace_id))
+            .expect("traced quote");
+        assert_eq!(status, 200, "{endpoint}: {answer}");
+        assert_eq!(echoed, Some(trace_id), "{endpoint} must echo x-ft-trace");
+        assert_eq!(
+            counts(),
+            (before.0 + 1, before.1 + 1, before.2 + 1, before.3 + 1),
+            "{endpoint}: (requests, latency count, queue-wait count, 2xx) moved by other than one"
+        );
+
+        let (status, trace) = request(addr, "GET", &format!("/trace/{trace_id:016x}"), None);
+        assert_eq!(status, 200, "{endpoint} trace not stored: {trace:?}");
+        let spans = spans_of(&trace);
+        assert_well_formed(&spans);
+        let root = spans.iter().find(|s| s.parent_id == 0).expect("root");
+        for child in ["server.reactor.queue_wait", "core.registry.quote"] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.name == child && s.parent_id == root.span_id),
+                "{endpoint}: no {child} under the root: {spans:?}"
+            );
+        }
+    }
+
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
 #[test]
 fn reused_trace_id_gets_one_tree_per_request() {
-    // One worker, so both requests are traced on the same thread. A
-    // node sees reused ids without any client reusing one: on a 404
-    // the router restores the campaign and re-sends the request, id
-    // and all.
+    // One worker, so both requests are traced on the same thread (a
+    // report and a price quote would not be: the event loop answers
+    // the quote). A node sees reused ids without any client reusing
+    // one: on a 404 the router restores the campaign and re-sends the
+    // request, id and all.
     let (addr, id, handle, join) = serve_one(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     });
     let mut client = Client::new(addr);
     let trace_id = ft_trace::next_trace_id();
-    for path in [
-        "/healthz".to_string(),
-        format!("/campaigns/{id}/price?remaining=20&interval=0"),
+    let observation = r#"{"interval":0,"completions":0}"#;
+    for (method, path, body) in [
+        ("GET", "/healthz".to_string(), None),
+        (
+            "POST",
+            format!("/campaigns/{id}/observations"),
+            Some(observation),
+        ),
     ] {
         let (status, _, echoed) = client
-            .request_traced("GET", &path, None, Some(trace_id))
+            .request_traced(method, &path, body, Some(trace_id))
             .expect("traced request");
         assert_eq!(status, 200);
         assert_eq!(echoed, Some(trace_id));
     }
 
-    // The id resolves to the price request's tree alone.
+    // The id resolves to the observation's tree alone.
     let (status, trace) = request(addr, "GET", &format!("/trace/{trace_id:016x}"), None);
     assert_eq!(status, 200, "trace not stored: {trace:?}");
     let spans = spans_of(&trace);
@@ -213,8 +318,8 @@ fn reused_trace_id_gets_one_tree_per_request() {
     ids.dedup();
     assert_eq!(ids.len(), spans.len(), "a span id appears twice: {spans:?}");
     assert!(
-        spans.iter().any(|s| s.name == "core.registry.quote"),
-        "not the price request's trace: {spans:?}"
+        spans.iter().any(|s| s.name == "core.registry.observe"),
+        "not the observation's trace: {spans:?}"
     );
 
     handle.shutdown();

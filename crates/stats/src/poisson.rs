@@ -7,6 +7,10 @@ use rand::Rng;
 /// Largest mean (exclusive) [`Poisson::truncation_point`] accepts: 2⁶².
 const MAX_TRUNCATION_MEAN: f64 = 4_611_686_018_427_387_904.0;
 
+/// Most pmf terms [`Poisson::tail_crossing_from_above`] sums: its walk
+/// spans ≈ 3σ, so this reaches the crossing for λ up to ≈ 10¹¹.
+const MAX_TAIL_WALK: u64 = 1 << 20;
+
 /// Poisson distribution with mean `lambda ≥ 0`.
 ///
 /// `lambda == 0` is allowed and denotes the degenerate distribution at 0;
@@ -92,17 +96,16 @@ impl Poisson {
     /// dropped with total probability mass at most `eps` (Theorem 1).
     ///
     /// One pass of the pmf recurrence proposes `s0`; the exact predicate
-    /// `sf(s) ≤ eps` then confirms it at `s0` and `s0 − 1`, walking while
-    /// either check fails — two `gamma_p` calls in the common case. When
-    /// the pass cannot reach `eps` (`exp(−λ)` underflows, or rounding
-    /// holds its running tail above `eps`) the bracketed search over the
-    /// same predicate decides instead.
+    /// `sf(s) ≤ eps` then confirms it at `s0` and `s0 − 1`, searching
+    /// outward while either check fails — two `gamma_p` calls in the
+    /// common case. Below λ ≈ 708 the pass sums the head upward from 0;
+    /// above it (`exp(−λ)` underflows), or when rounding holds the running
+    /// tail above `eps`, it sums the tail downward from a point past the
+    /// crossing.
     ///
-    /// Panics unless `eps ∈ (0, 1)` and `λ < 2⁶²`. Below that bound the
-    /// bracketed search's first upper bound `⌈λ⌉ + 2` and its one
-    /// doubling (at most `2λ + 4`) fit in a `u64`; past 2⁶⁴ the bound
-    /// overflowed and the search never returned. The answer is exact
-    /// only while `s0` is an exact f64, i.e. below 2⁵³, and while the
+    /// Panics unless `eps ∈ (0, 1)` and `λ < 2⁶²`, so that every point the
+    /// pass and the search visit fits a `u64`. The answer is exact only
+    /// while `s0` is an exact f64, i.e. below 2⁵³, and while the
     /// incomplete-gamma loops converge within their term cap, i.e. for
     /// λ up to ≈ 10¹⁰; past that the tail reads short and `s0`
     /// undershoots.
@@ -116,10 +119,10 @@ impl Poisson {
         if self.lambda == 0.0 {
             return 1;
         }
-        match self.tail_crossing_guess(eps) {
-            Some(guess) => self.settle_truncation_point(guess, eps),
-            None => self.truncation_point_bracketed(eps),
-        }
+        let guess = self
+            .tail_crossing_guess(eps)
+            .unwrap_or_else(|| self.tail_crossing_from_above(eps));
+        self.settle_truncation_point(guess, eps)
     }
 
     /// Candidate `s0` from one pass of the pmf recurrence: the first `s`
@@ -146,27 +149,82 @@ impl Poisson {
         Some(k + 1)
     }
 
-    /// Move `guess` to the point where the exact survival function
-    /// crosses `eps`: `sf(s) ≤ eps < sf(s − 1)`.
-    fn settle_truncation_point(&self, guess: u64, eps: f64) -> u64 {
-        let mut s = guess.max(1);
-        while self.sf(s) > eps {
-            s += 1;
+    /// Candidate `s0` from the far side: start where Bernstein's
+    /// inequality, `Pr[X ≥ λ + t] ≤ exp(−t² / (2(λ + t/3)))`, puts the tail
+    /// below `eps · 2⁻³⁰`, and sum pmf terms downward, the first one seeded
+    /// in log space, until the tail passes `eps`. Terms are carried as
+    /// multiples of `eps`, so no `eps` underflows them. Unlike `1 − head`
+    /// the sum has only relative error, however far the crossing lies
+    /// from the mode. The walk spans ≈ 3σ and stops after
+    /// [`MAX_TAIL_WALK`] terms (λ past ≈ 10¹¹), leaving the rest to the
+    /// settling search.
+    fn tail_crossing_from_above(&self, eps: f64) -> u64 {
+        let lambda = self.lambda;
+        let bound = -eps.ln() + 30.0 * std::f64::consts::LN_2;
+        let t = bound / 3.0 + (bound * bound / 9.0 + 2.0 * bound * lambda).sqrt();
+        let mut k = (lambda + t).ceil() as u64;
+        let mut term = (self.ln_pmf(k) - eps.ln()).exp();
+        // Pr[X ≥ k] / eps, short of the neglected part past the start.
+        let mut tail = term;
+        for _ in 0..MAX_TAIL_WALK {
+            if tail > 1.0 || k <= 1 {
+                break;
+            }
+            term *= k as f64 / lambda;
+            k -= 1;
+            tail += term;
         }
-        // sf(0) = 1 > eps, so the walk down stops at 1 at the latest.
-        while s > 1 && self.sf(s - 1) <= eps {
-            s -= 1;
-        }
-        s
+        k + 1
     }
 
-    /// [`Poisson::truncation_point`] by exponential bracketing and
-    /// bisection on the survival function — the fallback when the pmf
-    /// pass cannot reach `eps`, and the reference the fast path is tested
-    /// against.
+    /// Move `guess` to the point where the exact survival function
+    /// crosses `eps`, `sf(s) ≤ eps < sf(s − 1)`: steps outward from the
+    /// guess, doubling, bracket the crossing, and bisection closes the
+    /// bracket. A guess that is exact, or one too low, costs two `sf`
+    /// calls; one `d` off costs about `2·log₂ d`, so even a guess the
+    /// predicate disagrees with (past the term cap) settles promptly.
+    fn settle_truncation_point(&self, guess: u64, eps: f64) -> u64 {
+        // sf(lo) > eps ≥ sf(hi) once bracketed; sf(0) = 1 > eps.
+        let start = guess.max(1);
+        let (mut lo, mut hi);
+        let mut step = 1u64;
+        if self.sf(start) > eps {
+            lo = start;
+            loop {
+                hi = lo.saturating_add(step);
+                if self.sf(hi) <= eps {
+                    break;
+                }
+                lo = hi;
+                step = step.saturating_mul(2);
+            }
+        } else {
+            hi = start;
+            loop {
+                lo = hi.saturating_sub(step);
+                if lo == 0 || self.sf(lo) > eps {
+                    break;
+                }
+                hi = lo;
+                step = step.saturating_mul(2);
+            }
+        }
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.sf(mid) <= eps {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// [`Poisson::truncation_point`] by exponential bracketing above the
+    /// mean and bisection on the survival function: the reference the
+    /// guesses and the settling search are tested against.
+    #[cfg(test)]
     fn truncation_point_bracketed(&self, eps: f64) -> u64 {
-        // Exponential bracketing above the mean, then binary search on the
-        // monotone survival function.
         let mut lo = self.lambda.floor() as u64; // sf(lo) ~ 0.5 > eps for eps << 1
         if self.sf(lo) <= eps {
             lo = 0;
@@ -440,7 +498,40 @@ mod tests {
         }
     }
 
-    /// Past 2⁶² the bracketed search's bounds leave `u64`: the call
+    /// Past λ ≈ 708 the guess comes from the downward tail walk, not the
+    /// head; s₀ must still be the bracketed search's at every mean the
+    /// registry can ask for (up to 4·10⁹, the arrival bound times the
+    /// default `max_correction`), at the paper's ε and either side of it.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "millions of loop iterations; a numeric check, not a UB one"
+    )]
+    fn large_mean_truncation_points_match_bracketed_search() {
+        for lambda in [709.0, 1e3, 1e4, 1e6, 1e8, 1e9, 4e9] {
+            let d = Poisson::new(lambda);
+            for eps in [1e-6, 1e-9, 1e-12] {
+                assert_eq!(
+                    d.truncation_point(eps),
+                    d.truncation_point_bracketed(eps),
+                    "λ={lambda}, ε={eps}"
+                );
+            }
+        }
+    }
+
+    /// A guess far off the crossing settles in logarithmically many
+    /// steps, from either side, onto the bracketed search's answer.
+    #[test]
+    fn settling_search_corrects_a_distant_guess() {
+        let d = Poisson::new(50.0);
+        let s0 = d.truncation_point_bracketed(1e-9);
+        for guess in [0, 1, s0 - 40, s0 - 1, s0, s0 + 1, s0 + 1000, 1 << 40] {
+            assert_eq!(d.settle_truncation_point(guess, 1e-9), s0, "guess {guess}");
+        }
+    }
+
+    /// Past 2⁶² the points the search visits leave `u64`: the call
     /// panics at once instead of overflowing (debug) or spinning forever
     /// (release). Just inside the bound it still returns.
     #[test]

@@ -151,7 +151,14 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     // Lentz's algorithm for the continued fraction representation of Q(a, x).
     let ln_pre = a * x.ln() - x - ln_gamma(a);
     let tiny = 1e-300;
-    let mut b = x + 1.0 - a;
+    // From 2⁵³ up, `x + 1.0` drops the 1 and at x = a the fraction would
+    // start from 1/0; there, subtract first. Below, the original order
+    // keeps every result's bits.
+    let mut b = if a + 1.0 == a {
+        x - a + 1.0
+    } else {
+        x + 1.0 - a
+    };
     let mut c = 1.0 / tiny;
     let mut d = 1.0 / b;
     let mut h = d;
@@ -254,6 +261,20 @@ mod tests {
         // P(1, x) = 1 − e^{−x}.
         for &x in &[0.1, 1.0, 3.0, 10.0] {
             assert_close(gamma_p(1.0, x), 1.0 - (-x).exp(), 1e-12);
+        }
+    }
+
+    /// From 2⁵³ up, `a + 1.0 == a`: at x = a the continued fraction used
+    /// to start from 1/0 and both functions read NaN.
+    #[test]
+    fn incomplete_gamma_is_a_probability_past_2_53() {
+        let a = 2f64.powi(53);
+        for value in [
+            gamma_p(a, a),
+            gamma_q(a, a),
+            crate::Poisson::new(a).sf(1 << 53),
+        ] {
+            assert!((0.0..=1.0).contains(&value), "{value}");
         }
     }
 
