@@ -537,7 +537,7 @@ mod tests {
         assert_eq!(l6, vec![3, 4, 5], "wrong crate, two segments, uppercase");
     }
 
-    /// The work-stealing/batched-solving instruments are the names CI
+    /// The work-stealing and pmf-cache instruments are the names CI
     /// greps dashboards for; pin the grammar on the real names (accept)
     /// and on the mistakes a refactor would most plausibly introduce
     /// (reject: registering from the wrong crate, dotted-name drift).
@@ -560,7 +560,7 @@ mod tests {
             "exec instrument names must satisfy their own grammar"
         );
         let core_ok = scan_at(
-            "crates/core/src/scheduler.rs",
+            "crates/core/src/registry/mod.rs",
             concat!(
                 "fn wire(m: &MetricsRegistry) {\n",
                 "    m.counter(\"ft_core_batched_solves_total\");\n",
@@ -573,13 +573,13 @@ mod tests {
             run_all(&core_ok)
                 .iter()
                 .all(|f| f.lint != "L4" && f.lint != "L6"),
-            "core scheduler instrument names must satisfy their own grammar"
+            "core pmf-cache instrument names must satisfy their own grammar"
         );
         // Reject: the steal counter registered from ft-core (a metrics
         // consolidation would silently re-crate the name), and the two
         // likeliest span-name regressions.
         let wrong_crate = scan_at(
-            "crates/core/src/scheduler.rs",
+            "crates/core/src/registry/mod.rs",
             "fn wire(m: &MetricsRegistry) { m.counter(\"ft_exec_steals_total\"); }\n",
         );
         assert_eq!(

@@ -307,7 +307,7 @@ impl AdaptivePricer {
     /// (`observations()`) is `resolve_every` or more intervals past the
     /// active policy's start, re-solve the remaining horizon with the
     /// current correction on the caller's kernel budget, resolving pmf
-    /// rows through an optional wave-wide [`SharedPmfCache`] (concurrent
+    /// rows through an optional [`SharedPmfCache`] (the registry's:
     /// campaigns re-derive identical Poisson rows). Neither the thread
     /// count nor the cache changes a bit of the result. Returns whether
     /// a new policy was installed — the caller's cue to bump its policy

@@ -14,7 +14,7 @@ use std::sync::Arc;
 pub struct DeadlineDpModel<'a> {
     problem: &'a DeadlineProblem,
     trunc: &'a TruncationTable,
-    /// Wave-scoped cross-solve pmf row cache (None = private rows).
+    /// Cross-solve pmf row cache (None = private rows).
     shared: Option<Arc<SharedPmfCache>>,
 }
 
@@ -28,7 +28,7 @@ impl<'a> DeadlineDpModel<'a> {
     }
 
     /// Resolve per-worker pmf misses through `shared` — every worker's
-    /// scratch cache consults (and feeds) the wave-wide row store.
+    /// scratch cache consults (and feeds) the cross-solve row store.
     pub fn with_shared_cache(mut self, shared: Option<Arc<SharedPmfCache>>) -> Self {
         self.shared = shared;
         self
@@ -100,9 +100,9 @@ pub fn solve_deadline(
     solve_deadline_with_cache(problem, trunc, sweep, cfg, None)
 }
 
-/// [`solve_deadline`] resolving pmf rows through an optional wave-wide
-/// [`SharedPmfCache`]: rows a concurrent (or earlier) solve of the
-/// same wave already built are reused instead of recomputed. Sharing
+/// [`solve_deadline`] resolving pmf rows through an optional
+/// [`SharedPmfCache`]: rows a concurrent (or earlier) solve through
+/// the same cache already built are reused instead of recomputed. Sharing
 /// is bitwise-invisible — rows are pure functions of their key and
 /// prefix-stable across lengths — so the policy is identical to the
 /// uncached solve (see `shared_cache_solve_is_bitwise_identical`).

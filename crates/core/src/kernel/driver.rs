@@ -20,9 +20,9 @@
 use super::table::{PolicyTable, ValueTable};
 
 /// Tuning knobs for the kernel sweep. `Default` uses every available
-/// core; `serial()` pins the sweep to one thread (useful inside an outer
-/// parallel batch such as [`crate::registry::CampaignRegistry::solve_many`],
-/// and as the baseline in the speedup benchmarks).
+/// core; `serial()` pins the sweep to one thread (useful for
+/// latency-sensitive embedders, and as the baseline in the speedup
+/// benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelConfig {
     /// Worker threads for the state sweep; `0` = auto (`ft-exec` budget).

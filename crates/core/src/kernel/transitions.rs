@@ -122,8 +122,9 @@ impl PmfRow {
     }
 }
 
-/// A cross-solve [`PmfRow`] store, shared by every solve of a
-/// scheduler *wave* (see `crate::scheduler`). A pmf row is a pure
+/// A cross-solve [`PmfRow`] store: the campaign registry owns one for
+/// its lifetime and every solve and recalibration reads through it
+/// (see `crate::registry`). A pmf row is a pure
 /// function of `(λ_t · dt-folded arrival, acceptance)` — the per-layer
 /// mean of the completion Poisson — so concurrent recalibrations
 /// across campaigns that price the same arrival regime rebuild
@@ -138,9 +139,9 @@ impl PmfRow {
 ///
 /// Hits and lookups are counted so the recalibration-storm bench (and
 /// the `ft_core_pmf_cache_hits_total` counter) can report the
-/// redundancy actually eliminated. Entry count is bounded; on
-/// overflow the map is cleared wholesale — correctness never depends
-/// on a row being present.
+/// redundancy actually eliminated. Entry count is bounded at
+/// `SHARED_PMF_MAX_ENTRIES` rows; on overflow the map is cleared
+/// wholesale — correctness never depends on a row being present.
 #[derive(Default)]
 pub struct SharedPmfCache {
     rows: Mutex<HashMap<(u64, u64), Arc<PmfRow>>>,
@@ -148,7 +149,7 @@ pub struct SharedPmfCache {
     hits: AtomicU64,
     /// Optional mirror of `hits` onto the embedder's metrics plane
     /// (`ft_core_pmf_cache_hits_total`, resolved by the registry's
-    /// telemetry and installed by the scheduler).
+    /// telemetry).
     hit_counter: Option<Arc<ft_metrics::Counter>>,
 }
 
@@ -169,7 +170,7 @@ impl SharedPmfCache {
         Self::default()
     }
 
-    /// A cache that also bumps `counter` on every hit (the scheduler
+    /// A cache that also bumps `counter` on every hit (the registry
     /// threads `ft_core_pmf_cache_hits_total` through here).
     pub fn with_hit_counter(counter: Arc<ft_metrics::Counter>) -> Self {
         Self {
@@ -190,9 +191,17 @@ impl SharedPmfCache {
         self.lookups.load(Ordering::Relaxed)
     }
 
+    /// Hits over lookups, 0.0 when nothing was looked up.
+    pub fn hit_rate(&self) -> f64 {
+        match self.lookups() {
+            0 => 0.0,
+            lookups => self.hits() as f64 / lookups as f64,
+        }
+    }
+
     /// The row for Poisson mean `lam_t · accept` with at least `len`
     /// entries: served shared when one is cached, built (and published
-    /// for the rest of the wave) otherwise.
+    /// for later solves) otherwise.
     fn get_or_build(&self, lam_t: f64, accept: f64, len: usize) -> Arc<PmfRow> {
         // ORDERING: Relaxed — monotonic statistic.
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -238,9 +247,9 @@ impl SharedPmfCache {
 /// an O(states) → O(1) cut in pmf work per action (ROADMAP open item).
 ///
 /// Rows are `Arc`s so they can come from (and be published to) an
-/// optional [`SharedPmfCache`] spanning a whole scheduler wave of
-/// solves; without one the cache behaves exactly as before, building
-/// rows privately.
+/// optional [`SharedPmfCache`] spanning many solves (the registry's);
+/// without one the cache behaves exactly as before, building rows
+/// privately.
 ///
 /// The kernel creates scratch fresh for every layer sweep, but the cache
 /// still tags rows with the layer that built them and invalidates on

@@ -45,9 +45,10 @@
 //! Recalibrating → Exhausted/Evicted`) whose policy generations are
 //! swapped atomically on live recalibration ([`adaptive`]) and persisted
 //! as JSON snapshots. Its `quote(campaign, observed_state)` is the
-//! constant-time reprice hot path, `solve_many` solves a batch of
-//! drafts concurrently, and the `ft-server` crate serves the registry
-//! over HTTP. See `ARCHITECTURE.md` at the workspace root.
+//! constant-time reprice hot path, every solve and recalibration reads
+//! Poisson pmf rows through one registry-wide cache, and the
+//! `ft-server` crate serves the registry over HTTP. See
+//! `ARCHITECTURE.md` at the workspace root.
 
 pub mod actions;
 pub mod adaptive;
@@ -63,7 +64,6 @@ pub mod penalty;
 pub mod policy;
 pub mod problem;
 pub mod registry;
-pub mod scheduler;
 pub mod telemetry;
 pub mod testkit;
 
@@ -85,4 +85,3 @@ pub use registry::{
     CampaignSpec, CampaignStatus, ObserveOutcome, ObservedState, PolicyGeneration, PriceQuote,
     RegistryConfig,
 };
-pub use scheduler::{SchedulerStats, SolveContext, SolveScheduler, WaveStats, WaveTicket};

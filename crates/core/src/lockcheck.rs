@@ -2,7 +2,8 @@
 //! `--cfg lockcheck`.
 //!
 //! The registry documents one lock order: **campaign writer mutex →
-//! shard map write lock** (see `registry::store`). Nothing enforced it
+//! shard map write lock** (see `registry::store`); no other lock class
+//! nests with either. Nothing enforced it
 //! at runtime — an inverted acquisition would sit latent until two
 //! threads interleaved just wrong and deadlocked in production. With
 //! `RUSTFLAGS="--cfg lockcheck"` every guarded acquisition is recorded
@@ -48,8 +49,6 @@ mod imp {
     pub const CAMPAIGN_STATE: LockClass = "campaign-state";
     /// A shard's id→record map `RwLock` (read or write side).
     pub const SHARD_MAP: LockClass = "shard-map";
-    /// The solve scheduler's wave-state mutex (`scheduler::SolveScheduler`).
-    pub const SOLVE_SCHEDULER: LockClass = "solve-scheduler";
 
     #[derive(Clone)]
     struct Edge {
@@ -78,19 +77,6 @@ mod imp {
                 Edge {
                     witness_stack: format!("{CAMPAIGN_STATE} -> {SHARD_MAP}"),
                     thread: "<documented order: registry::store module docs>".to_string(),
-                },
-            );
-            // And its extension for batched solving: wave admission
-            // happens before (never inside) any campaign writer lock,
-            // so the scheduler mutex sits at the top of the order:
-            // scheduler → campaign-mutex → shard-map. A campaign-held
-            // admission would record campaign→scheduler and close a
-            // cycle with this seed.
-            edges.insert(
-                (SOLVE_SCHEDULER.to_string(), CAMPAIGN_STATE.to_string()),
-                Edge {
-                    witness_stack: format!("{SOLVE_SCHEDULER} -> {CAMPAIGN_STATE}"),
-                    thread: "<documented order: scheduler module docs>".to_string(),
                 },
             );
             Mutex::new(Graph { edges })
@@ -255,7 +241,7 @@ mod imp {
 }
 
 #[cfg(lockcheck)]
-pub use imp::{acquire, held_stack, Held, LockClass, CAMPAIGN_STATE, SHARD_MAP, SOLVE_SCHEDULER};
+pub use imp::{acquire, held_stack, Held, LockClass, CAMPAIGN_STATE, SHARD_MAP};
 
 // ---- no-op twin for default builds -----------------------------------
 
@@ -267,8 +253,6 @@ mod imp {
     pub const CAMPAIGN_STATE: LockClass = "campaign-state";
     /// See the `lockcheck` build.
     pub const SHARD_MAP: LockClass = "shard-map";
-    /// See the `lockcheck` build.
-    pub const SOLVE_SCHEDULER: LockClass = "solve-scheduler";
 
     /// Zero-sized stand-in; acquisitions are untraced. The explicit
     /// (empty) `Drop` keeps call sites identical across cfgs: witness
@@ -293,4 +277,4 @@ mod imp {
 }
 
 #[cfg(not(lockcheck))]
-pub use imp::{acquire, held_stack, Held, LockClass, CAMPAIGN_STATE, SHARD_MAP, SOLVE_SCHEDULER};
+pub use imp::{acquire, held_stack, Held, LockClass, CAMPAIGN_STATE, SHARD_MAP};

@@ -39,9 +39,10 @@ use crate::actions::ActionSet;
 use crate::adaptive::AdaptivePricer;
 use crate::budget::{solve_budget_mdp_with, BudgetProblem};
 use crate::error::{CampaignId, PricingError, Result};
+use crate::kernel::{KernelConfig, SharedPmfCache};
 use crate::policy::PriceController;
-use crate::scheduler::SolveContext;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// What an observation did, engine-side. The registry turns this into
 /// status transitions and (maybe) a recalibration.
@@ -74,10 +75,13 @@ pub(super) trait CampaignEngine: Send {
     /// Run the recalibration re-solve. `Ok(Some((policy, start)))`
     /// hands the registry the next generation's policy; `Ok(None)`
     /// means nothing to do; `Err` keeps the previous generation
-    /// serving. The context carries the kernel config plus the
-    /// admitting wave's shared pmf cache (sharing is bitwise-invisible
-    /// to the result).
-    fn solve(&mut self, ctx: &SolveContext) -> Result<Option<(CampaignPolicy, usize)>>;
+    /// serving. `kernel` is the registry's kernel config and `cache` its
+    /// pmf-row cache (sharing rows is bitwise-invisible to the result).
+    fn solve(
+        &mut self,
+        kernel: &KernelConfig,
+        cache: &Arc<SharedPmfCache>,
+    ) -> Result<Option<(CampaignPolicy, usize)>>;
 
     /// Fill per-kind diagnostics into a status report.
     fn report(&self, report: &mut CampaignReport);
@@ -160,16 +164,17 @@ impl CampaignEngine for DeadlineEngine {
             && t - self.pricer.policy_start() >= self.pricer.options().resolve_every
     }
 
-    fn solve(&mut self, ctx: &SolveContext) -> Result<Option<(CampaignPolicy, usize)>> {
+    fn solve(
+        &mut self,
+        kernel: &KernelConfig,
+        cache: &Arc<SharedPmfCache>,
+    ) -> Result<Option<(CampaignPolicy, usize)>> {
         // The pricer re-solves the remaining horizon with corrected
         // arrivals on the registry's kernel budget; `false` means the
         // inner solve failed (or there was nothing to do) and the
         // previous policy stays. Pmf rows are resolved through the
-        // admitting wave's shared cache.
-        if self
-            .pricer
-            .maybe_resolve_with(&ctx.kernel, ctx.pmf_cache.as_ref())
-        {
+        // registry's cache.
+        if self.pricer.maybe_resolve_with(kernel, Some(cache)) {
             Ok(Some((
                 CampaignPolicy::Deadline(self.pricer.policy().clone()),
                 self.pricer.policy_start(),
@@ -535,7 +540,11 @@ impl CampaignEngine for BudgetEngine {
         self.drifted() && self.reports_since_resolve >= self.opts.resolve_every
     }
 
-    fn solve(&mut self, ctx: &SolveContext) -> Result<Option<(CampaignPolicy, usize)>> {
+    fn solve(
+        &mut self,
+        kernel: &KernelConfig,
+        _cache: &Arc<SharedPmfCache>,
+    ) -> Result<Option<(CampaignPolicy, usize)>> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -550,7 +559,7 @@ impl CampaignEngine for BudgetEngine {
             self.shifted_actions(shift),
             self.problem.mean_rate,
         );
-        let policy = solve_budget_mdp_with(&sub, &ctx.kernel)?;
+        let policy = solve_budget_mdp_with(&sub, kernel)?;
         // Adopt the shifted curve as the new reference model: ρ̂ is
         // always measured against what the serving policy assumes.
         self.shift = shift;

@@ -36,7 +36,14 @@
 //! Solves and recalibrations run while holding only the writer `Mutex`
 //! of their own campaign — never a shard map lock or the generation
 //! lock. Map membership changes lock in the order *campaign mutex →
-//! shard map write* (see the `store` module source).
+//! shard map write* (see the `store` module source); that is the only
+//! lock order.
+//!
+//! Every solve and recalibration resolves the Eq. 5 Poisson pmf rows
+//! through one [`SharedPmfCache`] the registry owns for its lifetime, so
+//! campaigns pricing the same arrival regime build each row once. Rows
+//! are pure, prefix-stable functions of their key, so the cache changes
+//! no answer by a single bit. Handing out the cache takes no lock.
 
 mod engine;
 mod snapshot;
@@ -49,10 +56,9 @@ use crate::adaptive::{AdaptiveOptions, AdaptivePricer};
 use crate::budget::{solve_budget_mdp_with, BudgetMdpPolicy, BudgetProblem};
 use crate::error::{CampaignId, PricingError, Result};
 use crate::kernel::deadline::solve_deadline_with_cache;
-use crate::kernel::{KernelConfig, Sweep, TruncationTable};
+use crate::kernel::{KernelConfig, SharedPmfCache, Sweep, TruncationTable};
 use crate::policy::{DeadlinePolicy, PriceController};
 use crate::problem::DeadlineProblem;
-use crate::scheduler::{SolveContext, SolveScheduler};
 use crate::telemetry::RegistryTelemetry;
 use engine::{BudgetEngine, CampaignEngine, DeadlineEngine};
 use ft_metrics::MetricsRegistry;
@@ -437,25 +443,16 @@ pub struct CampaignRegistry {
     next_id: AtomicU64,
     store: ShardedStore,
     telemetry: RegistryTelemetry,
-    /// Wave admission for solves/recalibrations: concurrent solves of a
-    /// wave share one pmf-row cache (see [`crate::scheduler`]).
-    scheduler: SolveScheduler,
+    /// The pmf-row store every solve and recalibration reads through,
+    /// for the registry's whole lifetime (bounded; see
+    /// [`SharedPmfCache`]).
+    pmf_cache: Arc<SharedPmfCache>,
 }
 
 impl Default for CampaignRegistry {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Split a worker budget between batch-level (outer) and kernel-level
-/// (inner) parallelism, resolving the requested count **once** so both
-/// sides of the split are derived from the same number and cannot
-/// over-subscribe the pool (`thread_split_resolves_once`).
-fn split_threads(requested: usize, batch_len: usize) -> (usize, usize) {
-    let outer = ft_exec::resolve_threads(requested);
-    let inner = (outer / batch_len.max(1)).max(1);
-    (outer, inner)
 }
 
 impl CampaignRegistry {
@@ -479,16 +476,15 @@ impl CampaignRegistry {
     /// Full registry configuration (shards, kernel, drift policies).
     pub fn with_registry_config(config: RegistryConfig) -> Self {
         let telemetry = RegistryTelemetry::new(Arc::new(MetricsRegistry::new()));
-        let scheduler = SolveScheduler::default().with_counters(
-            Arc::clone(&telemetry.batched_solves),
-            Arc::clone(&telemetry.pmf_cache_hits),
-        );
+        let pmf_cache = Arc::new(SharedPmfCache::with_hit_counter(Arc::clone(
+            &telemetry.pmf_cache_hits,
+        )));
         Self {
             store: ShardedStore::new(config.shards),
             config,
             next_id: AtomicU64::new(1),
             telemetry,
-            scheduler,
+            pmf_cache,
         }
     }
 
@@ -502,10 +498,20 @@ impl CampaignRegistry {
         &self.telemetry
     }
 
-    /// The wave scheduler batching this registry's solves (wave/cache
-    /// statistics for reports and the load harness).
-    pub fn scheduler(&self) -> &SolveScheduler {
-        &self.scheduler
+    /// The pmf-row cache this registry's solves share (its lookups and
+    /// hits back the load harness's storm report).
+    pub fn pmf_cache(&self) -> &Arc<SharedPmfCache> {
+        &self.pmf_cache
+    }
+
+    /// Hand one solve or recalibration the registry's pmf-row cache.
+    /// Takes no lock. The `core.service.batch_wait` span and the
+    /// `ft_core_batched_solves_total` bump stay only because ftbench's
+    /// per-layer list reads them; ROADMAP 2(a) drops both.
+    fn admit(&self) -> &Arc<SharedPmfCache> {
+        let _span = ft_trace::span("core.service.batch_wait");
+        self.telemetry.batched_solves.inc();
+        &self.pmf_cache
     }
 
     /// The registry's configuration (shards, kernel, drift policies).
@@ -565,10 +571,6 @@ impl CampaignRegistry {
     /// Solve a draft campaign with the registry's full worker budget and
     /// publish generation 1. `Draft → Solving → Live`.
     pub fn solve(&self, id: CampaignId) -> Result<Arc<PolicyGeneration>> {
-        self.solve_with(id, &self.config.kernel)
-    }
-
-    fn solve_with(&self, id: CampaignId, cfg: &KernelConfig) -> Result<Arc<PolicyGeneration>> {
         let campaign = self.get(id)?;
         // Check-and-claim under the writer lock so concurrent solves
         // cannot both start.
@@ -584,13 +586,9 @@ impl CampaignRegistry {
             campaign.transition(&state, CampaignStatus::Solving);
             state.spec.clone()
         };
-        // The expensive part runs with no lock held at all. Admission
-        // happens here too — after the campaign writer lock above was
-        // released (documented order: scheduler → campaign-mutex).
+        // The expensive part runs with no lock held at all.
         let started = Instant::now();
-        let ticket = self.scheduler.admit();
-        let ctx = SolveContext::with_wave(*cfg, &ticket);
-        let solved = self.solve_spec(&spec, &ctx);
+        let solved = self.solve_spec(&spec, self.admit());
         self.telemetry.solve_ns.record_duration(started.elapsed());
         let mut state = lock_state(&campaign);
         if campaign.status() != CampaignStatus::Solving {
@@ -625,11 +623,11 @@ impl CampaignRegistry {
     fn solve_spec(
         &self,
         spec: &CampaignSpec,
-        ctx: &SolveContext,
+        cache: &Arc<SharedPmfCache>,
     ) -> Result<(Box<dyn CampaignEngine>, CampaignPolicy, usize)> {
         spec.validate()?;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.solve_spec_inner(spec, ctx)
+            self.solve_spec_inner(spec, cache)
         }))
         .unwrap_or_else(|panic| {
             let msg = panic
@@ -646,7 +644,7 @@ impl CampaignRegistry {
     fn solve_spec_inner(
         &self,
         spec: &CampaignSpec,
-        ctx: &SolveContext,
+        cache: &Arc<SharedPmfCache>,
     ) -> Result<(Box<dyn CampaignEngine>, CampaignPolicy, usize)> {
         match spec {
             CampaignSpec::Deadline { problem, eps } => {
@@ -656,8 +654,8 @@ impl CampaignRegistry {
                     problem,
                     &trunc,
                     Sweep::MonotoneDivide,
-                    &ctx.kernel,
-                    ctx.pmf_cache.clone(),
+                    &self.config.kernel,
+                    Some(Arc::clone(cache)),
                 )?;
                 let pricer = AdaptivePricer::from_parts(
                     problem.clone(),
@@ -681,29 +679,12 @@ impl CampaignRegistry {
                 ))
             }
             CampaignSpec::Budget { problem } => {
-                let policy = solve_budget_mdp_with(problem, &ctx.kernel)?;
+                let policy = solve_budget_mdp_with(problem, &self.config.kernel)?;
                 let mut engine = BudgetEngine::new(problem.clone(), self.config.budget_drift);
                 engine.remaining = problem.n_tasks;
                 Ok((Box::new(engine), CampaignPolicy::Budget(policy), 0))
             }
         }
-    }
-
-    /// Solve a batch of draft campaigns concurrently, dividing the worker
-    /// budget between batch-level and kernel-level parallelism. Returns
-    /// per-campaign results in input order; failures don't fail the
-    /// batch.
-    pub fn solve_many(
-        &self,
-        ids: &[CampaignId],
-    ) -> Vec<(CampaignId, Result<Arc<PolicyGeneration>>)> {
-        let (outer, inner_threads) = split_threads(self.config.kernel.threads, ids.len());
-        let inner = KernelConfig {
-            threads: inner_threads,
-            grain: self.config.kernel.grain,
-        };
-        let solved = ft_exec::par_map(ids.len(), 1, outer, |i| self.solve_with(ids[i], &inner));
-        ids.iter().copied().zip(solved).collect()
     }
 
     /// The reprice hot path: answer from the campaign's current policy
@@ -933,38 +914,20 @@ impl CampaignRegistry {
                 .observe(id, &obs)?
         };
 
-        // Recalibrate when the engine asks: solve with only this
-        // campaign's writer lock held, then swap the generation.
+        // Recalibrate when the engine asks: solve start to finish under
+        // this campaign's writer lock (and no other), then swap the
+        // generation.
         let mut recalibrated = false;
         if effect.recalibrate {
             campaign.transition(&state, CampaignStatus::Recalibrating);
-            // Wave admission takes the scheduler mutex, which sits
-            // *above* the campaign mutex in the documented order
-            // (scheduler → campaign-mutex → shard-map) — admitting
-            // while holding the campaign lock would invert it (the
-            // lockcheck witness panics on exactly that). Drop the
-            // writer lock around admission and re-validate after:
-            // `Recalibrating` is only left by this thread or by
-            // eviction/replacement, so any other status means the
-            // record was retired while unlocked and the re-solve must
-            // be abandoned (its engine may already be gone).
-            drop(state);
-            let ticket = self.scheduler.admit();
-            let ctx = SolveContext::with_wave(self.config.kernel, &ticket);
-            state = lock_state(campaign);
-            if campaign.status() != CampaignStatus::Recalibrating {
-                return Err(PricingError::NotServable {
-                    id,
-                    status: campaign.status().as_str(),
-                });
-            }
+            let cache = self.admit();
             let solved = {
                 let _span = ft_trace::span("core.registry.recalibrate");
                 state
                     .engine
                     .as_mut()
                     .expect("kind-checked engines exist")
-                    .solve(&ctx)
+                    .solve(&self.config.kernel, cache)
             };
             match solved {
                 Ok(Some((policy, start))) => {

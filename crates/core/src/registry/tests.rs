@@ -913,8 +913,8 @@ fn concurrent_reprice_observe_stress() {
             stop.store(true, Ordering::Release);
         });
 
-        // Churn: batch-register + solve other campaigns while the
-        // readers run, so quotes race cache fills too.
+        // Churn: register + solve other campaigns while the readers
+        // run, so quotes race cache fills too.
         let churn = scope.spawn(move || {
             start.wait();
             let mut round = 0u64;
@@ -922,8 +922,7 @@ fn concurrent_reprice_observe_stress() {
                 let other = registry.register(CampaignSpec::Budget {
                     problem: tiny_budget_problem(),
                 });
-                let solved = registry.solve_many(&[other]);
-                assert!(solved[0].1.is_ok());
+                assert!(registry.solve(other).is_ok());
                 registry.evict(other);
                 registry.purge(other);
                 round += 1;
@@ -1438,36 +1437,22 @@ fn budget_quotes_clamp_oversized_states_to_the_table_edge() {
     );
 }
 
-/// Regression for the double-resolution bug: the outer/inner split
-/// must be derived from ONE `resolve_threads` call, so the inner
-/// kernels can never over-subscribe the budget the outer fan-out was
-/// planned against.
+/// Every solve reads through the registry's one pmf-row cache: two
+/// solves of the same deadline problem bump the batched-solve counter
+/// twice, the second one's rows are hits, and the hit counter on the
+/// metrics plane mirrors the cache's own count.
 #[test]
-fn thread_split_resolves_once() {
-    for requested in [1usize, 2, 3, 6, 8, 32] {
-        for batch_len in [1usize, 2, 3, 5, 16, 100] {
-            let (outer, inner) = split_threads(requested, batch_len);
-            assert_eq!(
-                outer,
-                ft_exec::resolve_threads(requested),
-                "outer must be the resolved budget"
-            );
-            assert_eq!(
-                inner,
-                (outer / batch_len.max(1)).max(1),
-                "inner must be derived from the same resolved outer"
-            );
-            // Over-subscription bound: when the batch saturates the
-            // budget the kernels go serial; otherwise outer×inner
-            // stays within one budget of the pool.
-            assert!(
-                inner == 1 || batch_len * inner <= outer,
-                "requested={requested} batch={batch_len}: outer={outer} inner={inner}"
-            );
-        }
+fn counters_mirror_admissions_and_hits() {
+    let registry = CampaignRegistry::new();
+    for _ in 0..2 {
+        let id = registry.register(CampaignSpec::Deadline {
+            problem: problem(),
+            eps: None,
+        });
+        registry.solve(id).unwrap();
     }
-    // Zero means "machine budget" — both sides must still agree.
-    let (outer, inner) = split_threads(0, 4);
-    assert_eq!(outer, ft_exec::resolve_threads(0));
-    assert_eq!(inner, (outer / 4).max(1));
+    let telemetry = registry.telemetry();
+    assert_eq!(telemetry.batched_solves.get(), 2);
+    assert!(registry.pmf_cache().hits() > 0);
+    assert_eq!(telemetry.pmf_cache_hits.get(), registry.pmf_cache().hits());
 }

@@ -19,8 +19,8 @@
 //! | `ft_core_recalibrations_total` | counter | drift-triggered re-solves (all kinds) |
 //! | `ft_core_recalibrations_by_kind_total{kind=..}` | counter | re-solves split by campaign kind (`deadline` / `budget`) |
 //! | `ft_core_generation_swaps_total` | counter | policy-generation pointer swaps |
-//! | `ft_core_batched_solves_total` | counter | solves admitted to a scheduler wave |
-//! | `ft_core_pmf_cache_hits_total` | counter | wave-cache pmf rows served without rebuilding |
+//! | `ft_core_batched_solves_total` | counter | solves and recalibrations handed the registry's pmf-row cache |
+//! | `ft_core_pmf_cache_hits_total` | counter | pmf rows served from the registry's cache without rebuilding |
 //! | `ft_core_solve_ns` | histogram | wall time of each solve |
 
 use ft_metrics::{Counter, Histogram, MetricsRegistry};
@@ -42,9 +42,11 @@ pub struct RegistryTelemetry {
     pub recalibrations_deadline: Arc<Counter>,
     pub recalibrations_budget: Arc<Counter>,
     pub generation_swaps: Arc<Counter>,
-    /// Solves admitted to a [`crate::scheduler::SolveScheduler`] wave.
+    /// Solves and recalibrations, deadline and budget alike, handed the
+    /// registry's pmf-row cache. Kept only because ftbench's per-layer
+    /// list reads it; ROADMAP 2(a) drops it.
     pub batched_solves: Arc<Counter>,
-    /// Pmf rows served from a wave's shared cache instead of rebuilt.
+    /// Pmf rows served from the registry's cache instead of rebuilt.
     pub pmf_cache_hits: Arc<Counter>,
     pub solve_ns: Arc<Histogram>,
 }

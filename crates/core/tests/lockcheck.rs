@@ -122,63 +122,6 @@ fn out_of_order_release_keeps_the_stack_consistent() {
     assert_eq!(lockcheck::held_stack(), "");
 }
 
-/// The batched-solving extension of the documented order is pre-seeded
-/// too: the solve scheduler's wave mutex sits *above* the campaign
-/// mutex (scheduler → campaign-mutex → shard-map), so admitting a
-/// solve while holding a campaign writer lock — the bug the
-/// `observe_on` drop-reacquire pattern exists to avoid — panics even
-/// if the correct path never ran in this process. And transitively:
-/// holding a shard-map lock while admitting closes the three-class
-/// cycle through both seeded edges.
-#[test]
-fn campaign_held_wave_admission_panics() {
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        let _campaign = lockcheck::acquire(lockcheck::CAMPAIGN_STATE, "state");
-        let _wave = lockcheck::acquire(lockcheck::SOLVE_SCHEDULER, "wave");
-    }))
-    .expect_err("campaign-held admission must panic");
-    let msg = err
-        .downcast_ref::<String>()
-        .expect("panic payload is the witness report")
-        .clone();
-    assert!(
-        msg.contains("solve-scheduler") && msg.contains("campaign-state"),
-        "report must name both lock classes: {msg}"
-    );
-    assert!(
-        msg.contains("campaign-state[state]"),
-        "report must include the offending held stack: {msg}"
-    );
-
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        let _map = lockcheck::acquire(lockcheck::SHARD_MAP, "write");
-        let _wave = lockcheck::acquire(lockcheck::SOLVE_SCHEDULER, "wave");
-    }))
-    .expect_err("shard-held admission closes the transitive cycle");
-    let msg = err
-        .downcast_ref::<String>()
-        .expect("panic payload is the witness report")
-        .clone();
-    assert!(
-        msg.contains("solve-scheduler") && msg.contains("shard-map"),
-        "report must name both ends of the transitive cycle: {msg}"
-    );
-}
-
-/// The correct order — admission first, campaign lock after — records
-/// its edges silently, including through the real scheduler.
-#[test]
-fn scheduler_first_admission_runs_clean() {
-    let sched = ft_core::SolveScheduler::new(4);
-    let ticket = sched.admit();
-    {
-        let _campaign = lockcheck::acquire(lockcheck::CAMPAIGN_STATE, "state");
-        let _map = lockcheck::acquire(lockcheck::SHARD_MAP, "write");
-    }
-    drop(ticket);
-    assert_eq!(lockcheck::held_stack(), "");
-}
-
 /// The real registry paths run clean under the witness: register,
 /// solve, quote, observe-driven recalibration, replacement and
 /// eviction all follow the documented order, so a full lifecycle

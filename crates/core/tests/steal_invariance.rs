@@ -203,6 +203,11 @@ fn thief_executed_chunk_panic_is_deterministic() {
         "propagated payload must be the lowest panicking chunk's"
     );
     // The pool survives a panicked region.
-    let sum: u64 = ft_exec::par_map(100, 1, 0, |i| i as u64).into_iter().sum();
-    assert_eq!(sum, 4950);
+    let mut data = vec![0u64; 100];
+    ft_exec::par_chunks_mut(&mut data, 1, 0, |start, chunk| {
+        for (j, x) in chunk.iter_mut().enumerate() {
+            *x = (start + j) as u64;
+        }
+    });
+    assert_eq!(data.iter().sum::<u64>(), 4950);
 }

@@ -3,9 +3,9 @@
 //! Structured parallelism for the `finish-them` workspace, built only on
 //! `std` — the container has no network access, so `rayon` is replaced
 //! by this deliberately small executor. One module is shared by the
-//! solver kernel (`ft-core::kernel`), the campaign registry's batch
-//! solves (`ft-core::registry`) and the Monte-Carlo harness
-//! (`ft-sim::mc`), so every layer draws from the same worker budget.
+//! solver kernel (`ft-core::kernel`, which every registry solve runs
+//! on) and the Monte-Carlo harness (`ft-sim::mc`), so every layer draws
+//! from the same worker budget.
 //!
 //! Since PR 4 the executor is a **persistent worker pool** ([`Pool`]):
 //! worker threads are spawned lazily on the first parallel region and
@@ -155,16 +155,6 @@ where
     Pool::global().par_chunks2_mut(a, b, grain, threads, f)
 }
 
-/// Compute `f(i)` for every `i` in `0..len` into a fresh `Vec`, in
-/// parallel chunks — the primitive behind `CampaignRegistry::solve_many`.
-pub fn par_map<R, F>(len: usize, grain: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    Pool::global().par_map(len, grain, threads, f)
-}
-
 /// A raw pointer that may cross threads. Soundness is argued at each
 /// use site: the chunk decomposition hands every element to exactly one
 /// job, and the dispatch blocks until all jobs finish.
@@ -283,23 +273,6 @@ impl Pool {
             f(start, ca, cb);
         });
     }
-
-    /// [`par_map`] on this specific pool.
-    pub fn par_map<R, F>(&self, len: usize, grain: usize, threads: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
-        self.par_chunks_mut(&mut out, grain, threads, |start, chunk| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(f(start + j));
-            }
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("ft-exec: par_map slot left unfilled"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -354,14 +327,6 @@ mod tests {
             chunk.iter_mut().for_each(|x| *x = 2);
         });
         assert_eq!(data, vec![2, 2, 2]);
-    }
-
-    #[test]
-    fn par_map_orders_results() {
-        let out = par_map(1000, 10, 4, |i| i * i);
-        for (i, &x) in out.iter().enumerate() {
-            assert_eq!(x, i * i);
-        }
     }
 
     #[test]

@@ -154,8 +154,7 @@ fn nested_dispatch_from_inside_workers_terminates() {
     let _guard = serialized();
     let pool = Pool::new(4);
     // A fan-out whose jobs each run a nested fan-out and a nested join
-    // on the same pool — the shape of registry batch solves (outer
-    // par_map over campaigns, inner kernel sweeps per layer).
+    // on the same pool.
     let total = AtomicUsize::new(0);
     pool.for_each(8, |outer| {
         let inner_sum = AtomicUsize::new(0);

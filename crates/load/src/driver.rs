@@ -15,6 +15,7 @@
 
 use crate::backend::{Backend, ObserveAnswer, OpError, OpResult};
 use crate::scenario::{CampaignKind, FleetGroup, Scenario};
+use ft_core::kernel::SharedPmfCache;
 use ft_core::registry::{CampaignObservation, ObservedState};
 use ft_market::nhpp::sample_thinned_count;
 use ft_metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
@@ -207,11 +208,11 @@ pub struct RunOutcome {
     pub torn_mismatches: u64,
     pub op_counts: Vec<(&'static str, u64)>,
     pub latency: Vec<(&'static str, HistogramSnapshot)>,
-    /// The registry's batched-solving stats (waves, shared pmf-cache
-    /// hit rate), read off `CampaignRegistry::scheduler()` after the
+    /// The registry's pmf-row cache (row lookups, hits, hit rate) and
+    /// its `ft_core_batched_solves_total` reading, taken after the
     /// drive. Only the in-process harness can see the registry; socket
     /// runs leave this `None`.
-    pub pmf_cache: Option<ft_core::SchedulerStats>,
+    pub pmf_cache: Option<(Arc<SharedPmfCache>, u64)>,
 }
 
 impl RunOutcome {

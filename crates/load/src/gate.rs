@@ -66,7 +66,7 @@ pub struct BackendFloor {
     /// `frac × reference × (1 − tolerance)`.
     pub min_throughput_frac_of: Option<FracOf>,
     /// Floor on the run's reported `pmf_cache.hit_rate` (the storm
-    /// leg's batched-solving win): fresh rate must stay above
+    /// leg's shared-row win): fresh rate must stay above
     /// `this × (1 − tolerance)`. A floored run without a `pmf_cache`
     /// block (e.g. a socket run, which cannot see the registry) is an
     /// error, like a missing p99.
@@ -764,7 +764,7 @@ mod tests {
                 r#"{{"scenario": "storm-fast",
                      "runs": [{{"backend": "in_process",
                        "throughput_rps": 5000.0,
-                       "pmf_cache": {{"hit_rate": {hit_rate}, "waves": 3}},
+                       "pmf_cache": {{"hit_rate": {hit_rate}, "batched_solves": 3}},
                        "latency_ns_by_op": {{}}}}]}}"#
             )
         };

@@ -139,9 +139,13 @@ pub fn run_in_process(scenario: &Scenario) -> RunOutcome {
     let instruments = RunInstruments::new();
     let mut outcome = driver::run(scenario, &backend, &instruments);
     // The in-process harness holds the registry, so the report can
-    // carry the batched-solving tier's own accounting (waves, shared
-    // pmf-cache hit rate) — the storm profile's perf gate reads it.
-    outcome.pmf_cache = Some(backend.registry.scheduler().stats());
+    // carry its pmf-row cache's accounting (batched solves, row
+    // lookups and hits) — the storm profile's perf gate reads it.
+    let registry = &backend.registry;
+    outcome.pmf_cache = Some((
+        Arc::clone(registry.pmf_cache()),
+        registry.telemetry().batched_solves.get(),
+    ));
     outcome
 }
 

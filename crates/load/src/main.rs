@@ -42,8 +42,8 @@ OPTIONS:
                        budget-drift | storm | fleet (budget-drift +
                        --fast = budget-drift-fast; bulk-fast drives the
                        batched quote/observe plane; storm floods the
-                       solve scheduler with identical deadline
-                       campaigns so recalibration waves share pmf rows
+                       registry with identical deadline campaigns so
+                       their solves and recalibrations share pmf rows
                        — the in-process report carries the cache hit
                        rate the perf gate floors; fleet drives an
                        ft-router front tier — see --fleet-nodes)
@@ -226,24 +226,15 @@ fn print_summary(outcome: &RunOutcome, extras: Option<&SocketExtras>) {
             quantiles.join(" ")
         );
     }
-    // The batched-solving tier's own accounting (in-process runs): how
-    // the solves batched into waves and how hard each wave's shared
-    // pmf cache worked — the storm profile's reason to exist.
-    if let Some(stats) = &outcome.pmf_cache {
-        let per_wave: Vec<String> = stats
-            .per_wave
-            .iter()
-            .map(|w| format!("#{}:{}", w.wave, w.solves))
-            .collect();
+    // The registry's pmf-row cache (in-process runs): how many solves
+    // read through it and how hard it worked — the storm profile's
+    // reason to exist.
+    if let Some((cache, batched_solves)) = &outcome.pmf_cache {
         println!(
-            "  pmf cache: {} solves across {} waves, hit rate {:.3} ({}/{} row lookups); \
-             per-wave solves [{}]",
-            stats.solves,
-            stats.waves,
-            stats.hit_rate(),
-            stats.hits,
-            stats.lookups,
-            per_wave.join(" ")
+            "  pmf cache: {batched_solves} solves, hit rate {:.3} ({}/{} row lookups)",
+            cache.hit_rate(),
+            cache.hits(),
+            cache.lookups(),
         );
     }
     // Clamped samples fell outside the histogram range, so the tail

@@ -78,41 +78,21 @@ fn run_value(outcome: &RunOutcome, extras: Option<&SocketExtras>) -> Value {
             ),
         ),
     ];
-    if let Some(stats) = &outcome.pmf_cache {
+    if let Some((cache, batched_solves)) = &outcome.pmf_cache {
         fields.push((
             "pmf_cache",
             map(vec![
-                ("waves", num(stats.waves as f64)),
-                ("batched_solves", num(stats.solves as f64)),
-                ("row_lookups", num(stats.lookups as f64)),
-                ("row_hits", num(stats.hits as f64)),
-                ("hit_rate", num(stats.hit_rate())),
+                ("batched_solves", num(*batched_solves as f64)),
+                ("row_lookups", num(cache.lookups() as f64)),
+                ("row_hits", num(cache.hits() as f64)),
+                ("hit_rate", num(cache.hit_rate())),
                 (
                     "note",
                     Value::Str(
-                        "hit_rate = shared pmf-cache row hits ÷ lookups across all \
-                         scheduler waves; the checked-in capture comes from a 1-core \
-                         container, where admissions serialize and waves fill from one \
-                         stream — multicore hosts batch concurrent solves into the same \
-                         waves and should see an equal or higher rate"
+                        "hit_rate = row hits ÷ lookups of the registry's one pmf-row \
+                         cache over the whole run (every solve and recalibration reads \
+                         through it)"
                             .into(),
-                    ),
-                ),
-                (
-                    "per_wave",
-                    Value::Seq(
-                        stats
-                            .per_wave
-                            .iter()
-                            .map(|w| {
-                                map(vec![
-                                    ("wave", num(w.wave as f64)),
-                                    ("solves", num(w.solves as f64)),
-                                    ("row_lookups", num(w.lookups as f64)),
-                                    ("row_hits", num(w.hits as f64)),
-                                ])
-                            })
-                            .collect(),
                     ),
                 ),
             ]),
@@ -324,14 +304,14 @@ pub fn evaluate_gates(
             failures.push(format!("[{mode}] no p999 for op {op}"));
         }
     }
-    // When the run carries scheduler stats (in-process backend), every
-    // solve must have been admitted through a wave — a zero here means
-    // the registry stopped routing solves through the scheduler and the
-    // storm leg's hit-rate floor would be gating a dead code path.
-    if let Some(stats) = &outcome.pmf_cache {
-        if stats.solves == 0 {
+    // When the run carries the registry's cache (in-process backend),
+    // every solve must have been handed it — a zero here means the
+    // registry stopped routing solves through the cache and the storm
+    // leg's hit-rate floor would be gating a dead code path.
+    if let Some((cache, batched_solves)) = &outcome.pmf_cache {
+        if *batched_solves == 0 {
             failures.push(format!(
-                "[{mode}] no batched solves admitted through the solve scheduler"
+                "[{mode}] no solve was handed the registry's pmf-row cache"
             ));
         }
         // Budget MDP solves never consult the pmf cache, so the lookup
@@ -340,7 +320,7 @@ pub fn evaluate_gates(
             .fleet
             .iter()
             .any(|g| g.kind == crate::scenario::CampaignKind::Deadline && g.count > 0);
-        if has_deadline && stats.lookups == 0 {
+        if has_deadline && cache.lookups() == 0 {
             failures.push(format!(
                 "[{mode}] deadline solves recorded no shared pmf-cache lookups"
             ));

@@ -273,10 +273,10 @@ impl Scenario {
 
     /// The recalibration-storm profile: a large fleet of **identical**
     /// deadline campaigns under heavy negative drift, built to flood
-    /// the registry's `SolveScheduler` with concurrent re-solves that
-    /// share Poisson pmf rows through each wave's [`SharedPmfCache`].
+    /// the registry with re-solves that share Poisson pmf rows through
+    /// its one [`SharedPmfCache`].
     ///
-    /// Two properties make the waves cache-friendly on purpose:
+    /// Two properties make the storm cache-friendly on purpose:
     ///
     /// - every campaign is the same spec, so the initial solve storm
     ///   re-derives one row universe `{(λ, accept(a))}`;
@@ -288,8 +288,8 @@ impl Scenario {
     ///   stochastic rates.
     ///
     /// The perf gate holds this leg's reported `pmf_cache.hit_rate` at
-    /// ≥ 0.5 (`scripts/perf_floors.json`), which is the batched-solving
-    /// tier's banked win.
+    /// ≥ 0.5 (`scripts/perf_floors.json`), which is the shared cache's
+    /// banked win.
     ///
     /// [`SharedPmfCache`]: ft_core::kernel::SharedPmfCache
     pub fn storm(fast: bool) -> Self {
@@ -461,8 +461,9 @@ mod tests {
             // Deadline-only: budget solves never consult the pmf cache,
             // so they would only dilute the storm's hit-rate signal.
             assert!(storm.fleet.iter().all(|g| g.kind == CampaignKind::Deadline));
-            // Enough identical campaigns to fill waves, and drift below
-            // the adaptive clamp so recalibration rows are shared too.
+            // Enough identical campaigns to share rows in bulk, and drift
+            // below the adaptive clamp so recalibration rows are shared
+            // too.
             assert!(storm.campaign_count() >= 32);
             assert!(storm.drift < 0.25);
             assert!(storm.expects_recalibration());

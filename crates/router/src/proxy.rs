@@ -23,7 +23,7 @@
 use crate::fleet::Fleet;
 use ft_metrics::{histogram_snapshot_value, HistogramSnapshot};
 use ft_server::http::{Request, Response};
-use ft_server::{Client, Endpoint, MAX_BULK_ITEMS};
+use ft_server::{parse_bulk_observations, parse_bulk_quotes, Client, Endpoint};
 use serde::{map_get, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -195,8 +195,18 @@ fn dispatch(
         Endpoint::CampaignSolve | Endpoint::CampaignObserve | Endpoint::CampaignDelete => {
             placed(fleet, conns, request, true)
         }
-        Endpoint::CampaignsQuotes => bulk(fleet, conns, request, "quotes", false),
-        Endpoint::CampaignsObserve => bulk(fleet, conns, request, "observations", true),
+        Endpoint::CampaignsQuotes => bulk(fleet, conns, request, "quotes", false, |body| {
+            Ok(parse_bulk_quotes(body)?
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect())
+        }),
+        Endpoint::CampaignsObserve => bulk(fleet, conns, request, "observations", true, |body| {
+            Ok(parse_bulk_observations(body)?
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect())
+        }),
         Endpoint::TraceRecent => {
             let limit = match request.query("limit") {
                 None => Ok(32),
@@ -707,45 +717,31 @@ fn merged_trace(fleet: &Fleet, conns: &mut Connections, request: &Request) -> Re
 }
 
 /// Split a bulk body by owning node, proxy each slice, reassemble the
-/// per-item results in input order. `refresh` re-checkpoints items
-/// whose observation recalibrated.
+/// per-item results in input order. `parse` is the node's own parser
+/// for the body, returning each item's id; it checks every item before
+/// anything is placed, so a structural 400 (the node's, unchanged)
+/// applies nothing on any node. `refresh` re-checkpoints items whose
+/// observation recalibrated.
 fn bulk(
     fleet: &Fleet,
     conns: &mut Connections,
     request: &Request,
     key: &str,
     refresh: bool,
+    parse: fn(&Value) -> Result<Vec<u64>, Response>,
 ) -> Response {
     let Ok(parsed) = serde_json::from_str::<Value>(&request.body) else {
         return bad_request("invalid JSON body");
     };
-    let Some(fields) = parsed.as_map() else {
-        return bad_request("bulk request must be a JSON object");
+    let ids = match parse(&parsed) {
+        Ok(ids) => ids,
+        Err(refused) => return refused,
     };
-    let Some(items) = map_get(fields, key).ok().and_then(|v| v.as_seq()) else {
-        return bad_request(&format!("missing `{key}` array"));
-    };
-    if items.len() > MAX_BULK_ITEMS {
-        return bad_request(&format!(
-            "`{key}` has {} items (max {MAX_BULK_ITEMS})",
-            items.len()
-        ));
-    }
-    // Every item needs a well-formed id before it can be placed.
-    let mut ids = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let id = item
-            .as_map()
-            .and_then(|f| map_get(f, "id").ok())
-            .and_then(|v| v.as_num())
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0);
-        match id {
-            Some(id) => ids.push(id as u64),
-            None => {
-                return bad_request(&format!("item {index}: missing or invalid `id`"));
-            }
-        }
-    }
+    let items = parsed
+        .as_map()
+        .and_then(|fields| map_get(fields, key).ok())
+        .and_then(Value::as_seq)
+        .expect("the bulk parser accepted the item array");
     let mut slots: Vec<Option<Value>> = vec![None; items.len()];
     // Two placement passes: unresolved items (owner died mid-flight)
     // regroup onto the post-failover ring once.
@@ -795,13 +791,6 @@ fn bulk(
                     for (&index, result) in indices.iter().zip(results) {
                         slots[index] = Some(result);
                     }
-                }
-                // A request-level (structural) 400 from the slice:
-                // remap the slice-local item index back to the
-                // client's and fail the whole request, exactly like a
-                // single node would.
-                Ok((400, body)) => {
-                    return Response::json(400, remap_bulk_error(&body, indices));
                 }
                 Ok((status, body)) => return Response::json(status, body),
                 Err(_) => {
@@ -855,35 +844,6 @@ fn bulk(
             ("results", Value::Seq(results)),
         ]),
     )
-}
-
-/// Rewrite a backend's structural bulk 400 (`item {j}: ...`, indices
-/// local to the proxied slice) so it names the client's original item
-/// index.
-fn remap_bulk_error(body: &str, indices: &[usize]) -> String {
-    let Ok(Value::Map(entries)) = serde_json::from_str::<Value>(body) else {
-        return body.to_string();
-    };
-    let rewritten: Vec<(String, Value)> = entries
-        .into_iter()
-        .map(|(k, v)| {
-            if k == "message" {
-                if let Value::Str(message) = &v {
-                    if let Some(rest) = message.strip_prefix("item ") {
-                        if let Some((n, tail)) = rest.split_once(':') {
-                            if let Ok(local) = n.parse::<usize>() {
-                                if let Some(&original) = indices.get(local) {
-                                    return (k, Value::Str(format!("item {original}:{tail}")));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            (k, v)
-        })
-        .collect();
-    serde_json::to_string(&Value::Map(rewritten)).unwrap_or_else(|_| body.to_string())
 }
 
 #[cfg(test)]

@@ -354,6 +354,48 @@ fn bulk_quotes_reassemble_across_backends_in_input_order() {
     fleet.teardown();
 }
 
+/// A bulk body a node would refuse whole, the fleet refuses whole too.
+/// Item 0 is owned by node 0 and item 1, which lacks `completions`, by
+/// node 1: the router answers the node's 400 and has applied item 0
+/// nowhere, so a client that fixes item 1 and retries does not see
+/// item 0 applied twice.
+#[test]
+fn refused_bulk_observations_apply_nothing() {
+    let fleet = Fleet::spawn(2);
+    let addr = fleet.addr();
+    let ids = seed_campaigns(addr, 8);
+    let owned_by = |node: usize| {
+        ids.iter()
+            .copied()
+            .find(|&id| fleet.host_of(id) == Some(node))
+            .unwrap_or_else(|| panic!("no campaign on node {node}"))
+    };
+    let (a, b) = (owned_by(0), owned_by(1));
+
+    let body = format!(
+        "{{\"observations\":[\
+         {{\"id\":{a},\"interval\":0,\"completions\":1}},\
+         {{\"id\":{b},\"interval\":0}}\
+         ]}}"
+    );
+    let (status, reply) = request(addr, "POST", "/campaigns/observations", Some(&body));
+    assert_eq!(status, 400, "{reply:?}");
+    assert_eq!(
+        text(&reply, "message"),
+        "item 1: missing or invalid `completions`"
+    );
+    let (status, report) = request(addr, "GET", &format!("/campaigns/{a}"), None);
+    assert_eq!(status, 200, "{report:?}");
+    assert_eq!(
+        num(&report, "observations"),
+        0.0,
+        "item 0 was applied by a refused batch: {report:?}"
+    );
+    assert_eq!(num(&report, "remaining"), 20.0, "{report:?}");
+
+    fleet.teardown();
+}
+
 /// The router's own accounting, recorded by the reactor it serves on:
 /// between two `GET /metrics` scrapes, each endpoint's
 /// `ft_router_requests_total` and `ft_router_request_ns` count move by

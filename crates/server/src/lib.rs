@@ -71,6 +71,6 @@ mod sys;
 
 pub use client::Client;
 pub use reactor::{serve, EndpointTelemetry, Service, TierTelemetry};
-pub use router::{handle, status_for, MAX_BULK_ITEMS};
+pub use router::{handle, parse_bulk_observations, parse_bulk_quotes, status_for};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::{AppState, Endpoint};

@@ -549,14 +549,15 @@ fn answer<S: Service>(
         Response::error(500, "internal_error", "request handler panicked")
     });
     let elapsed = started.elapsed();
-    drop(root);
+    let traced_ns = root.finish();
     endpoint.requests.inc();
     endpoint.latency.record_duration(elapsed);
-    if let Some(trace_id) = trace_id {
-        // The traced tail becomes the histogram's exemplar, so
-        // `/metrics` points at an openable trace.
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        endpoint.latency.offer_exemplar(ns, trace_id);
+    if let (Some(trace_id), Some(traced_ns)) = (trace_id, traced_ns) {
+        // The traced tail becomes the histogram's exemplar, ranked by
+        // the root duration (queue wait included) that ft-trace's
+        // exemplar store ranks by, so the slowest offer is one the
+        // store keeps and `/metrics` points at an openable trace.
+        endpoint.latency.offer_exemplar(traced_ns, trace_id);
     }
     match response.status {
         200..=299 => tier.responses_2xx.inc(),

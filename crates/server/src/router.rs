@@ -421,14 +421,13 @@ fn create_campaign(registry: &CampaignRegistry, request: &Request) -> Response {
 /// `POST /campaigns/{id}/solve` — solve the draft and publish
 /// generation 1.
 ///
-/// Wave semantics: the solve is admitted into the registry's
-/// [`SolveScheduler`](ft_core::SolveScheduler) wave, so concurrent
-/// solve requests (a fleet bootstrap, a recalibration storm) share one
-/// pmf-row cache per 32-admission wave instead of each rebuilding its
-/// own rows. This changes latency (cache-warm solves are cheaper),
-/// never bits: the response is identical whether the wave was cold or
-/// warm. The endpoint still blocks until *this* campaign's solve
-/// completes — admission never waits for other wave members.
+/// The solve reads Poisson pmf rows through the registry's one
+/// pmf-row cache, so solves of campaigns with the same arrival regime
+/// (a fleet bootstrap, a recalibration storm) build each row once. This
+/// changes latency (cache-warm solves are cheaper), never bits: the
+/// response is identical whether the cache was cold or warm. The
+/// endpoint blocks until this campaign's solve completes and never
+/// waits on another.
 fn solve(registry: &CampaignRegistry, id: CampaignId) -> Response {
     match registry.solve(id) {
         Ok(generation) => ok(map(vec![
@@ -578,7 +577,7 @@ fn parse_observation(
 /// How many items one bulk request may carry. Far above any sane
 /// batch, low enough that a single request can't monopolise a worker
 /// for seconds or balloon the response buffer. `ft-router` enforces
-/// the same cap before it splits a batch.
+/// the same cap through the same parser before it splits a batch.
 pub const MAX_BULK_ITEMS: usize = 1024;
 
 /// Pull the `items` array out of a bulk body, enforcing shape + cap.
@@ -623,33 +622,24 @@ fn bulk_error_value(id: CampaignId, error: &PricingError) -> Value {
     ])
 }
 
-/// `POST /campaigns/quotes` — body `{"quotes": [{"id": .., "remaining":
-/// .., "interval": ..|"budget_cents": ..}, ...]}`: N price quotes in
-/// one round trip, answered by [`CampaignRegistry::quote_many`] (one
-/// handle resolution per unique id). Malformed item *structure* fails
-/// the whole request with a 400 naming the item; per-item *pricing*
-/// errors come back inline so one exhausted campaign doesn't fail the
-/// batch.
-fn campaigns_quotes(registry: &CampaignRegistry, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let items = match bulk_items(&body, "quotes") {
-        Ok(items) => items,
-        Err(r) => return r,
-    };
-    let mut batch: Vec<(CampaignId, ObservedState)> = Vec::with_capacity(items.len());
+/// The items of a bulk quote body (`{"quotes": [{"id": .., "remaining":
+/// .., "interval": ..|"budget_cents": ..}, ...]}`), every item's
+/// structure checked before any is priced. A malformed item is the
+/// request-level 400 naming it. `ft-router` runs this same parser
+/// before it splits a batch by owner, so a refused batch applies
+/// nothing on any node.
+pub fn parse_bulk_quotes(body: &Value) -> Result<Vec<(CampaignId, ObservedState)>, Response> {
+    let items = bulk_items(body, "quotes")?;
+    let mut batch = Vec::with_capacity(items.len());
     for (index, item) in items.iter().enumerate() {
         let Some(fields) = item.as_map() else {
-            return bad_request(&format!("item {index}: must be a JSON object"));
+            return Err(bad_request(&format!("item {index}: must be a JSON object")));
         };
-        let id = match bulk_item_id(fields, index) {
-            Ok(id) => id,
-            Err(r) => return r,
-        };
+        let id = bulk_item_id(fields, index)?;
         let Ok(remaining) = map_get(fields, "remaining").and_then(u32::from_value) else {
-            return bad_request(&format!("item {index}: missing or invalid `remaining`"));
+            return Err(bad_request(&format!(
+                "item {index}: missing or invalid `remaining`"
+            )));
         };
         let state = match (map_get(fields, "interval"), map_get(fields, "budget_cents")) {
             (Ok(interval), Err(_)) => match usize::from_value(interval) {
@@ -657,24 +647,64 @@ fn campaigns_quotes(registry: &CampaignRegistry, request: &Request) -> Response 
                     remaining,
                     interval,
                 },
-                Err(_) => return bad_request(&format!("item {index}: invalid `interval`")),
+                Err(_) => return Err(bad_request(&format!("item {index}: invalid `interval`"))),
             },
             (Err(_), Ok(cents)) => match usize::from_value(cents) {
                 Ok(budget_cents) => ObservedState::Budget {
                     remaining,
                     budget_cents,
                 },
-                Err(_) => return bad_request(&format!("item {index}: invalid `budget_cents`")),
+                Err(_) => {
+                    return Err(bad_request(&format!(
+                        "item {index}: invalid `budget_cents`"
+                    )))
+                }
             },
             _ => {
-                return bad_request(&format!(
+                return Err(bad_request(&format!(
                     "item {index}: pass exactly one of `interval` (deadline) or \
                      `budget_cents` (budget)"
-                ))
+                )))
             }
         };
         batch.push((id, state));
     }
+    Ok(batch)
+}
+
+/// The items of a bulk observation body (`{"observations": [{"id": ..,
+/// ...single-observation fields...}, ...]}`), every item's structure
+/// checked before any is applied. Same contract as
+/// [`parse_bulk_quotes`], which `ft-router` shares too.
+pub fn parse_bulk_observations(
+    body: &Value,
+) -> Result<Vec<(CampaignId, CampaignObservation)>, Response> {
+    let items = bulk_items(body, "observations")?;
+    let mut batch = Vec::with_capacity(items.len());
+    for (index, item) in items.iter().enumerate() {
+        let Some(fields) = item.as_map() else {
+            return Err(bad_request(&format!("item {index}: must be a JSON object")));
+        };
+        let id = bulk_item_id(fields, index)?;
+        match parse_observation(fields) {
+            Ok(observation) => batch.push((id, observation)),
+            Err(r) => return Err(r(&format!("item {index}: "))),
+        }
+    }
+    Ok(batch)
+}
+
+/// `POST /campaigns/quotes` — N price quotes in one round trip (body
+/// per [`parse_bulk_quotes`]), answered by
+/// [`CampaignRegistry::quote_many`] (one handle resolution per unique
+/// id). Malformed item *structure* fails the whole request with a 400
+/// naming the item; per-item *pricing* errors come back inline so one
+/// exhausted campaign doesn't fail the batch.
+fn campaigns_quotes(registry: &CampaignRegistry, request: &Request) -> Response {
+    let batch = match parse_body(request).and_then(|body| parse_bulk_quotes(&body)) {
+        Ok(batch) => batch,
+        Err(r) => return r,
+    };
     let results: Vec<Value> = registry
         .quote_many(&batch)
         .into_iter()
@@ -694,34 +724,16 @@ fn campaigns_quotes(registry: &CampaignRegistry, request: &Request) -> Response 
     ]))
 }
 
-/// `POST /campaigns/observations` — body `{"observations": [{"id": ..,
-/// ...single-observation fields...}, ...]}`: N observation reports in
-/// one round trip via [`CampaignRegistry::observe_many`]. Same error
-/// split as the bulk quote endpoint: structural problems are a
-/// request-level 400 naming the item, pricing errors answer inline.
+/// `POST /campaigns/observations` — N observation reports in one round
+/// trip (body per [`parse_bulk_observations`]) via
+/// [`CampaignRegistry::observe_many`]. Same error split as the bulk
+/// quote endpoint: structural problems are a request-level 400 naming
+/// the item, pricing errors answer inline.
 fn campaigns_observe(registry: &CampaignRegistry, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
+    let batch = match parse_body(request).and_then(|body| parse_bulk_observations(&body)) {
+        Ok(batch) => batch,
         Err(r) => return r,
     };
-    let items = match bulk_items(&body, "observations") {
-        Ok(items) => items,
-        Err(r) => return r,
-    };
-    let mut batch: Vec<(CampaignId, CampaignObservation)> = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let Some(fields) = item.as_map() else {
-            return bad_request(&format!("item {index}: must be a JSON object"));
-        };
-        let id = match bulk_item_id(fields, index) {
-            Ok(id) => id,
-            Err(r) => return r,
-        };
-        match parse_observation(fields) {
-            Ok(observation) => batch.push((id, observation)),
-            Err(r) => return r(&format!("item {index}: ")),
-        }
-    }
     let ids: Vec<CampaignId> = batch.iter().map(|&(id, _)| id).collect();
     let results: Vec<Value> = registry
         .observe_many(batch)

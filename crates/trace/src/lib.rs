@@ -31,8 +31,10 @@
 //! op), which back `GET /trace/recent`, `GET /trace/{id}` and
 //! `GET /trace/export` (Chrome trace-event / Perfetto JSON). The
 //! `exemplar_trace_id` on `/metrics` histograms is the histogram's own
-//! (`ft_metrics::Histogram::offer_exemplar`); the exemplar store keeps
-//! that slowest trace resolvable after the recent store has moved on.
+//! (`ft_metrics::Histogram::offer_exemplar`). Offered with the root
+//! duration [`TraceGuard::finish`] returns, the figure the exemplar
+//! store ranks by, it stays resolvable after the recent store has moved
+//! on.
 //!
 //! Every JSON view is a `serde` value tree written by `serde_json`, and
 //! [`merge_documents`] reads the per-process `GET /trace/{id}` bodies it
@@ -447,12 +449,18 @@ mod imp {
         pub fn is_live(&self) -> bool {
             self.live
         }
-    }
 
-    impl Drop for TraceGuard {
-        fn drop(&mut self) {
-            if !self.live {
-                return;
+        /// Close and publish the trace now, as dropping the guard
+        /// does, and return the root duration it was published with:
+        /// the figure the exemplar store ranks it by. `None` if the
+        /// guard is inert.
+        pub fn finish(mut self) -> Option<u64> {
+            self.close()
+        }
+
+        fn close(&mut self) -> Option<u64> {
+            if !std::mem::take(&mut self.live) {
+                return None;
             }
             let end_ns = now_ns();
             let (trace_id, op, start_ns, tid) = CTX.with(|ctx| {
@@ -479,13 +487,22 @@ mod imp {
                 tid,
             });
             spans.sort_by_key(|s| (s.start_ns, s.span_id));
-            publish(CompletedTrace {
+            let trace = CompletedTrace {
                 trace_id,
                 op,
                 start_ns,
                 end_ns,
                 spans,
-            });
+            };
+            let duration_ns = trace.duration_ns();
+            publish(trace);
+            Some(duration_ns)
+        }
+    }
+
+    impl Drop for TraceGuard {
+        fn drop(&mut self) {
+            self.close();
         }
     }
 

@@ -1,6 +1,6 @@
 //! The multi-campaign pricing service: register a heterogeneous batch
-//! of campaigns, solve them concurrently, then serve reprice queries
-//! from their live policy generations.
+//! of campaigns, solve each one, then serve reprice queries from their
+//! live policy generations.
 //!
 //! ```text
 //! cargo run --release --example pricing_service
@@ -13,7 +13,7 @@ fn main() {
     let registry = CampaignRegistry::new();
 
     // Three deadline campaigns of different sizes/horizons plus one
-    // fixed-budget campaign, solved as one batch.
+    // fixed-budget campaign.
     let acc = LogitAcceptance::paper_eq13();
     for (id, (n_tasks, hours)) in [(200u32, 24.0f64), (500, 12.0), (1000, 48.0)]
         .into_iter()
@@ -43,10 +43,13 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let results = registry.solve_many(&[0, 1, 2, 99]);
+    let ids = [0, 1, 2, 99];
+    for id in ids {
+        registry.solve(id).unwrap();
+    }
     println!(
         "solved {} campaigns in {:.1} ms ({} cached)\n",
-        results.len(),
+        ids.len(),
         t0.elapsed().as_secs_f64() * 1e3,
         registry.len()
     );

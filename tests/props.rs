@@ -135,8 +135,10 @@ fn service_matches_standalone_solvers() {
         registry.register_at(1000 + j as u64, CampaignSpec::Budget { problem });
         ids.push(1000 + j as u64);
     }
-    for (id, result) in registry.solve_many(&ids) {
-        result.unwrap_or_else(|e| panic!("campaign {id} failed: {e}"));
+    for id in ids {
+        registry
+            .solve(id)
+            .unwrap_or_else(|e| panic!("campaign {id} failed: {e}"));
     }
     let price = |id: u64, state: ObservedState| registry.quote(id, state).unwrap().price;
     for (i, problem) in varied_problems().into_iter().enumerate() {
