@@ -537,7 +537,7 @@ mod tests {
         assert_eq!(l6, vec![3, 4, 5], "wrong crate, two segments, uppercase");
     }
 
-    /// The work-stealing and pmf-cache instruments are the names CI
+    /// The executor and pmf-cache instruments are the names CI
     /// greps dashboards for; pin the grammar on the real names (accept)
     /// and on the mistakes a refactor would most plausibly introduce
     /// (reject: registering from the wrong crate, dotted-name drift).
@@ -550,7 +550,7 @@ mod tests {
                 "    m.counter(\"ft_exec_steals_total\");\n",
                 "    m.counter(\"ft_exec_deque_overflow_total\");\n",
                 "}\n",
-                "fn steal() { let _s = ft_trace::span(\"exec.pool.steal\"); }\n"
+                "fn join() { let _s = ft_trace::span(\"exec.pool.join\"); }\n"
             ),
         );
         assert!(

@@ -91,6 +91,22 @@ pub const MAX_INTERVAL_ARRIVALS: f64 = 1e9;
 /// past the limit is refused before any table is allocated.
 pub const MAX_SOLVE_BYTES: f64 = 1_073_741_824.0;
 
+/// Largest solve a spec may ask for, in backup terms by
+/// `CampaignSpec::solve_terms`: 10¹⁰. The largest campaign any registry
+/// caller in this repository registers is the 1000-task, 144-interval,
+/// 41-price deadline campaign of `examples/pricing_service.rs`, at
+/// ≈2.95·10⁹ terms by that bound, so the limit leaves a 3.4× margin
+/// over it (ftbench's §5.2 deadline campaign needs ≈5.9·10⁷ terms, the
+/// paper budget campaign ≈2.0·10⁷). The memory bound does not bound
+/// work: a spec far inside `MAX_SOLVE_BYTES` can ask for hours of
+/// backups, and its solve holds a worker until it ends. At the limit,
+/// on a 2-vCPU KVM guest at two threads, a two-action deadline spec
+/// whose rows all run to `n` solved in ≈7 s and a budget spec in
+/// ≈14 s (1.3–1.4 ns per term); the bound overstates most deadline
+/// specs, whose rows stop at `s₀` and whose monotone sweep skips
+/// actions.
+pub const MAX_SOLVE_TERMS: f64 = 1e10;
+
 /// Default shard count for the sharded store. Enough that a handful of
 /// writer threads rarely collide, small enough that walking every shard
 /// (status counts, snapshots) stays cheap.
@@ -168,6 +184,30 @@ impl CampaignSpec {
             }
             CampaignSpec::Budget { problem } => {
                 (f64::from(problem.n_tasks) + 1.0) * (problem.budget.floor() + 1.0) * cell
+            }
+        }
+    }
+
+    /// An upper bound on the backup terms a solve (or re-solve) of this
+    /// spec computes, from its sizes alone. A deadline layer evaluates
+    /// each action at each of `n_tasks` states, and the evaluation at
+    /// `n` remaining tasks sums at most `n + 1` pmf terms, so the bound
+    /// is `intervals × actions × N(N+1)/2` (`n_tasks` stands in for
+    /// `s₀`, as in `solve_bytes`). A budget solve scans every action in
+    /// every `(task, cent)` cell: `(n_tasks + 1) × (⌊budget⌋ + 1) ×
+    /// actions`.
+    pub(crate) fn solve_terms(&self) -> f64 {
+        match self {
+            CampaignSpec::Deadline { problem, .. } => {
+                let tasks = f64::from(problem.n_tasks);
+                problem.n_intervals() as f64
+                    * problem.actions.len() as f64
+                    * (tasks * (tasks + 1.0) / 2.0)
+            }
+            CampaignSpec::Budget { problem } => {
+                (f64::from(problem.n_tasks) + 1.0)
+                    * (problem.budget.floor() + 1.0)
+                    * problem.actions.len() as f64
             }
         }
     }
@@ -254,6 +294,12 @@ impl CampaignSpec {
         if bytes > MAX_SOLVE_BYTES {
             return bad(format!(
                 "a solve needs up to {bytes:.3e} bytes, past the {MAX_SOLVE_BYTES:.3e}-byte limit"
+            ));
+        }
+        let terms = self.solve_terms();
+        if terms > MAX_SOLVE_TERMS {
+            return bad(format!(
+                "a solve needs up to {terms:.3e} backup terms, past the {MAX_SOLVE_TERMS:.3e}-term limit"
             ));
         }
         Ok(())

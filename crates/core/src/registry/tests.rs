@@ -1,5 +1,5 @@
 use super::*;
-use crate::actions::ActionSet;
+use crate::actions::{ActionSet, PriceAction};
 use crate::dp::solve_efficient;
 use crate::penalty::PenaltyModel;
 use crate::testkit::tiny_budget_problem;
@@ -782,9 +782,10 @@ fn restores_refuse_masses_no_solve_can_handle() {
     }
 }
 
-/// `CampaignSpec::solve_bytes` on the repository's own campaigns: the
-/// paper's §5.2 deadline and §5.3 budget campaigns are far inside
-/// `MAX_SOLVE_BYTES`, and a batch or budget past it is refused.
+/// `CampaignSpec::solve_bytes` and `solve_terms` on the repository's own
+/// campaigns: the paper's §5.2 deadline and §5.3 budget campaigns are
+/// far inside `MAX_SOLVE_BYTES` and `MAX_SOLVE_TERMS`, and a batch or
+/// budget past the byte limit is refused.
 #[test]
 fn solve_size_bound_admits_paper_campaigns_and_refuses_huge_ones() {
     let section_5_2 = DeadlineProblem::new(
@@ -801,11 +802,13 @@ fn solve_size_bound_admits_paper_campaigns_and_refuses_huge_ones() {
     // three-segment entries.
     let bytes = 201.0 * 73.0 * 12.0 + 2952.0 * 8.0 + 2952.0 * 200.0 * 24.0;
     assert_eq!(deadline.solve_bytes(), bytes);
+    assert_eq!(deadline.solve_terms(), 72.0 * 41.0 * 200.0 * 201.0 / 2.0);
     deadline.validate().unwrap();
     let budget = CampaignSpec::Budget {
         problem: crate::testkit::paper_budget_problem(),
     };
     assert_eq!(budget.solve_bytes(), 201.0 * 2501.0 * 12.0);
+    assert_eq!(budget.solve_terms(), 201.0 * 2501.0 * 40.0);
     budget.validate().unwrap();
 
     let mut huge_batch = section_5_2;
@@ -824,6 +827,81 @@ fn solve_size_bound_admits_paper_campaigns_and_refuses_huge_ones() {
         assert!(spec.solve_bytes() > MAX_SOLVE_BYTES);
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("byte limit"), "{err}");
+    }
+}
+
+/// `MAX_SOLVE_TERMS` admits the largest campaign the repository
+/// registers with a 3× margin, and refuses the two shapes that pass the
+/// memory bound yet would hold a worker for minutes to hours, at create
+/// and at restore.
+#[test]
+fn solve_work_bound_admits_repository_campaigns_and_refuses_wedges() {
+    // `examples/pricing_service.rs`'s largest campaign.
+    let service = CampaignSpec::Deadline {
+        problem: DeadlineProblem::from_market(
+            1000,
+            48.0,
+            144,
+            &ft_market::ConstantRate::new(5100.0),
+            PriceGrid::new(0, 40),
+            &LogitAcceptance::paper_eq13(),
+            PenaltyModel::Linear { per_task: 1000.0 },
+        ),
+        eps: None,
+    };
+    assert_eq!(service.solve_terms(), 144.0 * 41.0 * 1000.0 * 1001.0 / 2.0);
+    assert!(service.solve_terms() * 3.0 < MAX_SOLVE_TERMS);
+    service.validate().unwrap();
+
+    // 10⁷ tasks in one interval at the arrival bound, two actions.
+    let deadline_wedge = CampaignSpec::Deadline {
+        problem: DeadlineProblem::new(
+            10_000_000,
+            vec![MAX_INTERVAL_ARRIVALS],
+            ActionSet::new(vec![
+                PriceAction {
+                    reward: 1.0,
+                    accept: 0.5,
+                },
+                PriceAction {
+                    reward: 2.0,
+                    accept: 1.0,
+                },
+            ]),
+            PenaltyModel::Linear { per_task: 500.0 },
+        ),
+        eps: None,
+    };
+    // 2000 tasks, 40 000 cents, 10⁴ integer-cent prices.
+    let budget_wedge = CampaignSpec::Budget {
+        problem: BudgetProblem::new(
+            2000,
+            40_000.0,
+            ActionSet::new(
+                (1..=10_000)
+                    .map(|c| PriceAction {
+                        reward: f64::from(c),
+                        accept: 0.5,
+                    })
+                    .collect(),
+            ),
+            5100.0,
+        ),
+    };
+    let source = CampaignRegistry::new();
+    for spec in [deadline_wedge, budget_wedge] {
+        assert!(spec.solve_bytes() <= MAX_SOLVE_BYTES);
+        assert!(spec.solve_terms() > MAX_SOLVE_TERMS);
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("term limit"), "{err}");
+        // A draft's snapshot carries the spec; restoring it runs the
+        // same check.
+        let id = source.register(spec);
+        let json = source.campaign_to_json(id).unwrap();
+        let target = CampaignRegistry::new();
+        let err = target.restore_json(&json).unwrap_err();
+        assert!(err.to_string().contains("term limit"), "{err}");
+        assert!(target.ids().is_empty());
     }
 }
 

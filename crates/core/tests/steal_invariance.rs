@@ -1,21 +1,22 @@
-//! Bitwise invariance of all five public solvers under forced work
-//! stealing on the global executor pool.
+//! Bitwise invariance of all five public solvers when pool workers,
+//! not the dispatching thread, run their chunks and join branches.
 //!
 //! The kernel's determinism contract says a policy's every bit is a
 //! function of the problem alone — never of thread count, sweep order,
-//! or *which* worker executed a chunk. The kernel-level tests pin the
+//! or *which* thread executed a chunk. The kernel-level tests pin the
 //! first two; this suite pins the last one at the public-API layer:
-//! each solver is fingerprinted normally, then re-run from inside a
-//! pool worker with the dispatch-delay test knob set, which holds the
-//! dispatching worker between pushing its chunks and starting work so
-//! sibling workers *steal* them (the slow-worker harness from
-//! `ft-exec`'s own tests). The CI matrix runs this file under
-//! `FT_EXEC_THREADS ∈ {1, 4}`; serial kernel references inside the
-//! test extend the sweep to explicit 1/2/4/auto decompositions.
+//! each solver is fingerprinted normally, then re-run with the
+//! dispatch-delay test knob set, which holds every dispatcher between
+//! publishing its work and starting on it until a worker has claimed
+//! the job (the slow-dispatcher harness from `ft-exec`'s own tests,
+//! which show that the knob forces the hand-off). The CI matrix runs
+//! this file under `FT_EXEC_THREADS ∈ {1, 4}`; serial kernel references
+//! inside the test extend the sweep to explicit 1/2/4/auto
+//! decompositions.
 //!
-//! Also here: panic propagation stays deterministic when the panicking
-//! chunk is executed by a thief — the payload is the lowest panicking
-//! chunk index, as in serial order, no matter who ran it.
+//! Also here: panic propagation stays deterministic when a worker runs
+//! the panicking chunk — the payload is the lowest panicking chunk
+//! index, as in serial order, no matter who ran it.
 
 use ft_core::budget::{solve_budget_exact, solve_budget_mdp, solve_budget_mdp_with};
 use ft_core::dp::{solve_efficient, solve_simple, solve_truncated};
@@ -28,7 +29,7 @@ use ft_exec::{set_dispatch_delay_for_tests, Pool};
 use std::sync::Mutex;
 
 /// Tests in this file share the global dispatch-delay knob; serialize
-/// them so one test's forced-steal window never leaks into another.
+/// them so one test's forced hand-off window never leaks into another.
 static DELAY_KNOB: Mutex<()> = Mutex::new(());
 
 const EPS: f64 = 1e-9;
@@ -88,9 +89,9 @@ fn five_fingerprints(p: &DeadlineProblem, b: &BudgetProblem) -> [u64; 5] {
 }
 
 /// All five public solvers produce bitwise-identical results when their
-/// chunks are forcibly stolen by sibling workers, and match the serial
-/// kernel reference (so the CI legs at `FT_EXEC_THREADS=1` and `=4`
-/// fingerprint the same bits).
+/// chunks and join branches are forcibly handed to pool workers, and
+/// match the serial kernel reference (so the CI legs at
+/// `FT_EXEC_THREADS=1` and `=4` fingerprint the same bits).
 #[test]
 fn five_solvers_bitwise_invariant_under_forced_steals() {
     let _serialize = DELAY_KNOB.lock().unwrap_or_else(|e| e.into_inner());
@@ -145,31 +146,19 @@ fn five_solvers_bitwise_invariant_under_forced_steals() {
         );
     }
 
-    // Forced steals: run the whole battery from inside a pool worker
-    // with the dispatch delay set, so every fan-out's chunks sit in the
-    // worker's deque long enough for siblings to steal them.
-    let pool = Pool::global();
-    let steals_before = pool.steals();
+    // Forced hand-off: run the whole battery with the dispatch delay
+    // set, so every dispatcher leaves its fan-out indices and join
+    // branches, for up to 200µs each, to a worker to claim.
     set_dispatch_delay_for_tests(200_000); // 200µs per dispatch
-    let stolen = pool.run_on_worker(|| five_fingerprints(&p, &b));
+    let handed_off = five_fingerprints(&p, &b);
     set_dispatch_delay_for_tests(0);
     assert_eq!(
-        stolen, baseline,
-        "a solver's bits changed under forced work stealing"
+        handed_off, baseline,
+        "a solver's bits changed when workers ran its chunks"
     );
-    if pool.workers() >= 2 {
-        assert!(
-            pool.steals() > steals_before,
-            "the slow-worker harness must actually force steals \
-             ({} workers, steals {} -> {})",
-            pool.workers(),
-            steals_before,
-            pool.steals()
-        );
-    }
 }
 
-/// A panicking chunk executed by a thief propagates exactly like the
+/// A panicking chunk that a worker may run propagates exactly like the
 /// serial loop: the payload of the lowest panicking index wins, and
 /// the global pool stays usable afterwards.
 #[test]
@@ -178,19 +167,17 @@ fn thief_executed_chunk_panic_is_deterministic() {
     let pool = Pool::global();
     set_dispatch_delay_for_tests(200_000);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pool.run_on_worker(|| {
-            let mut data = vec![0u32; 64];
-            // 8 chunks of 8; chunks 0–1 are fine, chunks 2..8 panic
-            // with distinct payloads. Whoever executes them — owner or
-            // thief, in whatever order — the propagated payload must be
-            // chunk 2's, as in serial order.
-            pool.par_chunks_mut(&mut data, 8, 8, |start, chunk| {
-                if start >= 16 {
-                    panic!("chunk {} boom", start / 8);
-                }
-                chunk.iter_mut().for_each(|x| *x = 1);
-            });
-        })
+        let mut data = vec![0u32; 64];
+        // 8 chunks of 8; chunks 0–1 are fine, chunks 2..8 panic with
+        // distinct payloads. Whoever executes them — dispatcher or
+        // worker, in whatever order — the propagated payload must be
+        // chunk 2's, as in serial order.
+        pool.par_chunks_mut(&mut data, 8, 8, |start, chunk| {
+            if start >= 16 {
+                panic!("chunk {} boom", start / 8);
+            }
+            chunk.iter_mut().for_each(|x| *x = 1);
+        });
     }));
     set_dispatch_delay_for_tests(0);
     let payload = result.expect_err("panicking region must propagate");

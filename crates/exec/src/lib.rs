@@ -31,15 +31,9 @@
 //!   var, e.g. to pin CI to one core — the CI matrix runs both `1` and
 //!   `4`). The free functions below dispatch on [`Pool::global`];
 //!   callers that want explicit scoping can own a [`Pool`].
-
-//! - **Work-stealing dispatch**: each worker owns a lock-free
-//!   Chase–Lev-style deque (owner LIFO at the bottom, thieves FIFO at
-//!   the top); the mutex-guarded injector is only the submission
-//!   channel for non-worker threads and the overflow for full deques.
-//!   Steal and overflow counts are observable per pool
-//!   ([`Pool::steals`], [`Pool::deque_overflows`]) and exportable as
-//!   `ft_exec_steals_total` / `ft_exec_deque_overflow_total` via
-//!   [`register_metrics`].
+//! - **One queue**: every published job, from any thread, goes onto
+//!   one mutex-guarded injector that the workers pop from and park on
+//!   ([`Pool`]).
 
 mod metrics;
 mod pool;

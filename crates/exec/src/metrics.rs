@@ -1,77 +1,21 @@
-//! Optional export of the executor's counters through `ft-metrics`.
+//! The executor's counters on an embedder's `ft-metrics` registry.
 //!
 //! `ft-exec` sits below the serving stack and owns no registry; the
 //! embedder (normally `ft-server` at startup) calls
-//! [`register_metrics`] once to mirror the pool's internal counters
-//! onto its [`MetricsRegistry`]. Until then the `note_*` hooks are
-//! no-ops, so the executor stays metrics-free in bare library use.
-//!
-//! Registration is latest-wins: a second call (a new server instance
-//! in the same process, a test with its own registry) replaces the
-//! exported handles, which keeps counts flowing to the registry that
-//! is actually being scraped.
+//! [`register_metrics`] once to put the executor's counters on its
+//! [`MetricsRegistry`].
 
-use ft_metrics::{Counter, MetricsRegistry};
-use std::sync::{Arc, RwLock};
+use ft_metrics::MetricsRegistry;
 
-struct Exported {
-    steals: Arc<Counter>,
-    overflows: Arc<Counter>,
-}
-
-static EXPORTED: RwLock<Option<Exported>> = RwLock::new(None);
-
-/// Create (or look up) the executor's counters on `registry` and start
-/// mirroring pool activity onto them:
+/// Create (or look up) the executor's counters on `registry`:
+/// `ft_exec_steals_total` and `ft_exec_deque_overflow_total`.
 ///
-/// - `ft_exec_steals_total` — jobs executed by a worker that stole
-///   them from another worker's deque;
-/// - `ft_exec_deque_overflow_total` — publishes rerouted to the
-///   injector because the publishing worker's deque was full.
+/// Both always read 0: the pool has one injector queue and no worker
+/// deques, so nothing is stolen and nothing overflows. They stay
+/// registered only because ftbench's per-layer list reads them
+/// (`exec.steals`, `exec.deque_overflows`), and a traced run fails on a
+/// missing counter; ROADMAP 2(a) drops both.
 pub fn register_metrics(registry: &MetricsRegistry) {
-    let exported = Exported {
-        steals: registry.counter("ft_exec_steals_total"),
-        overflows: registry.counter("ft_exec_deque_overflow_total"),
-    };
-    *EXPORTED.write().unwrap_or_else(|e| e.into_inner()) = Some(exported);
-}
-
-pub(crate) fn note_steal() {
-    if let Some(e) = EXPORTED.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        e.steals.inc();
-    }
-}
-
-pub(crate) fn note_deque_overflow() {
-    if let Some(e) = EXPORTED.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        e.overflows.inc();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registered_counters_mirror_pool_activity() {
-        let registry = MetricsRegistry::new();
-        register_metrics(&registry);
-        note_steal();
-        note_steal();
-        note_deque_overflow();
-        let text = registry.to_prometheus();
-        assert!(
-            text.contains("ft_exec_steals_total 2"),
-            "steal counter missing from export:\n{text}"
-        );
-        assert!(
-            text.contains("ft_exec_deque_overflow_total 1"),
-            "overflow counter missing from export:\n{text}"
-        );
-        // Latest-wins: a fresh registry takes over.
-        let second = MetricsRegistry::new();
-        register_metrics(&second);
-        note_steal();
-        assert!(second.to_prometheus().contains("ft_exec_steals_total 1"));
-    }
+    registry.counter("ft_exec_steals_total");
+    registry.counter("ft_exec_deque_overflow_total");
 }

@@ -238,9 +238,9 @@ pub fn render(scenario: &Scenario, runs: &[(RunOutcome, Option<SocketExtras>)]) 
             fields.push((
                 "socket_throughput_ratio_note",
                 Value::Str(
-                    "socket ÷ in_process throughput from this invocation; the checked-in \
-                     capture comes from a 1-core container, where reactor and client share \
-                     the core — multicore hosts should see a higher ratio"
+                    "socket ÷ in_process throughput from this invocation; it depends on \
+                     the host's core count, since the reactor, its workers and the client \
+                     share the cores"
                         .into(),
                 ),
             ));

@@ -173,11 +173,10 @@ pub struct AppState {
 impl AppState {
     pub fn new(registry: Arc<CampaignRegistry>) -> Self {
         let telemetry = telemetry(registry.metrics());
-        // Mirror the executor's internal counters (steals, deque
-        // overflows) onto the same metrics plane the registry reports
-        // into, so one `GET /metrics` covers HTTP, solver, and pool.
-        // Latest-wins inside ft-exec, so a test server taking over the
-        // export is fine.
+        // Register the executor's counters on the same metrics plane
+        // the registry reports into, so one `GET /metrics` covers HTTP,
+        // solver and pool. Both read 0; `ft_exec::register_metrics`
+        // says why they stay.
         ft_exec::register_metrics(registry.metrics());
         Self {
             registry,

@@ -479,9 +479,8 @@ fn budget_acceptance_drift_recalibrates_over_the_wire() {
             .expect("prometheus export");
     assert_eq!(status, 200);
     assert!(text_body.contains("ft_core_recalibrations_by_kind_total{kind=\"budget\"}"));
-    // The server registers the executor's counters at startup, so the
-    // pool's steal/overflow instruments ride the same export plane even
-    // while still at zero.
+    // The server registers the executor's counters at startup, so they
+    // ride the same export plane even though both always read zero.
     assert!(
         text_body.contains("ft_exec_steals_total"),
         "executor steal counter not on the export plane"
@@ -588,6 +587,37 @@ fn a_quadrillion_cent_budget_is_a_400_not_an_abort() {
     assert_create_refused(&format!(
         "{{\"kind\":\"budget\",\"problem\":{problem_json}}}"
     ));
+}
+
+/// A 190-byte deadline spec inside both the arrival and the memory
+/// bound: 10⁷ tasks in one interval at 10⁹ arrivals, two actions. Every
+/// pmf row runs to `n`, so its one layer is ≈10¹⁴ backup terms: hours
+/// of work on a worker. It used to be created, and two solves of it
+/// wedged a two-worker node.
+#[test]
+fn a_solve_of_hours_is_a_400_at_create() {
+    let spec = concat!(
+        r#"{"kind":"deadline","problem":{"n_tasks":10000000,"interval_arrivals":[1e9],"#,
+        r#""actions":{"actions":[{"reward":1,"accept":0.5},{"reward":2,"accept":1.0}]},"#,
+        r#""penalty":{"Linear":{"per_task":500}}}}"#
+    );
+    assert_eq!(spec.len(), 190);
+    assert_create_refused(spec);
+}
+
+/// A budget spec inside the memory bound whose solve scans 10⁴ actions
+/// in each of 2001 × 40 001 (task, cent) cells: 8·10¹¹ backup terms,
+/// about 20 minutes on one worker. It used to be created.
+#[test]
+fn a_budget_solve_of_minutes_is_a_400_at_create() {
+    let actions: Vec<String> = (1..=10_000)
+        .map(|c| format!(r#"{{"reward":{c},"accept":0.5}}"#))
+        .collect();
+    let spec = format!(
+        r#"{{"kind":"budget","problem":{{"n_tasks":2000,"budget":40000,"actions":{{"actions":[{}]}},"mean_rate":5100}}}}"#,
+        actions.join(",")
+    );
+    assert_create_refused(&spec);
 }
 
 /// A snapshot document is checked like a spec: a solved campaign's

@@ -8,11 +8,14 @@ their default sizing), then run this. It checks that:
 
 - a bad request line, a 20 KB header block, `Content-Length: abc`,
   `Content-Length: 99999999999`, 1 MB of `[` posted to
-  `/campaigns/quotes`, and three specs posted to `/campaigns` each get
+  `/campaigns/quotes`, and five specs posted to `/campaigns` each get
   a 4xx from the node and from the router. The specs are a deadline
   spec whose first interval expects 10^300 worker arrivals, a deadline
-  spec for 4*10^9 tasks, and the paper's budget spec with a budget of
-  10^15 cents; a solve of the last two would not fit in memory;
+  spec for 4*10^9 tasks, the paper's budget spec with a budget of
+  10^15 cents, a deadline spec for 10^7 tasks in one interval at 10^9
+  arrivals, and a budget spec with 10^4 prices over 2000 tasks and
+  40 000 cents. A solve of the second and third would not fit in
+  memory; one of the last two would hold a worker for minutes to hours;
 - the snapshot of a solved campaign, with every interval's arrivals
   rewritten to 10^300, gets a 4xx from the node's `/campaigns/restore`
   (the router refuses every restore);
@@ -69,6 +72,26 @@ HUGE_BUDGET = spec(
     },
 )
 
+# 190 bytes inside the arrival and memory bounds: every pmf row runs to
+# n, so its one layer is about 10^14 backup terms, hours of solving.
+HOURS_OF_WORK = (
+    b'{"kind":"deadline","problem":{"n_tasks":10000000,"interval_arrivals":[1e9],'
+    b'"actions":{"actions":[{"reward":1,"accept":0.5},{"reward":2,"accept":1.0}]},'
+    b'"penalty":{"Linear":{"per_task":500}}}}'
+)
+
+# Inside the memory bound, but its solve scans 10^4 prices in each of
+# 2001 x 40001 (task, cent) cells: 8*10^11 backup terms.
+MINUTES_OF_WORK = spec(
+    "budget",
+    {
+        "n_tasks": 2000,
+        "budget": 40000,
+        "actions": {"actions": [{"reward": c, "accept": 0.5} for c in range(1, 10001)]},
+        "mean_rate": 5100,
+    },
+)
+
 # A small deadline campaign whose snapshot the restore check poisons.
 SMALL_DEADLINE = spec(
     "deadline",
@@ -112,6 +135,8 @@ HOSTILE = [
     ("10^300 arrivals to /campaigns", post(b"/campaigns", HUGE_ARRIVALS)),
     ("4*10^9 tasks to /campaigns", post(b"/campaigns", BILLION_TASKS)),
     ("10^15-cent budget to /campaigns", post(b"/campaigns", HUGE_BUDGET)),
+    ("10^14 terms to /campaigns", post(b"/campaigns", HOURS_OF_WORK)),
+    ("8*10^11 terms to /campaigns", post(b"/campaigns", MINUTES_OF_WORK)),
 ]
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
